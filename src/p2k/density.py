@@ -21,6 +21,21 @@ under the natural surjection) and intersecting, with multiplicities
 multiplying and equal rows merging.  Value sets are bit rows (Python ints),
 multiplicities are exact integers, and a brute-force f_M oracle
 cross-checks the whole pipeline at small scales.
+
+The two halves of a split are crossed without building the merged cluster.
+Over g = gcd of the two orders, a row reduces to its profile (set bits per
+residue mod g), and a pair of rows intersects in the dot product of their
+profiles.  Since f_M(2m) = f_M(m) + 1, every cluster is closed under
+rotation by one exponent with equal multiplicities, so its profile -> weight
+map is invariant under a shift by one position mod g.  With
+dot(rot^s r, p) = dot(r, rot^-s p), every profile in a rotation orbit meets
+the same nu-histogram against such a side, and the numpy backend iterates
+one representative per orbit of the smaller side, weighted by the orbit's
+summed multiplicity.  It runs only inside its exactness windows: profile
+counts (at most order/g) below 2^16 for uint16, dot products (at most the
+lcm of the orders) below 2^24 for float32, and multiplicity totals below
+2^52 for float64 sums.  Outside them "auto" takes the pure path, which is
+also the oracle the numpy backend is tested against.
 """
 
 from __future__ import annotations
@@ -40,9 +55,10 @@ except ImportError:  # pragma: no cover - numpy is a declared dependency
 
 ORACLE_LIMIT = 10**7
 
-# numpy cross backend keeps per-row weight sums in float64; exact as long
-# as the right-side multiplicity total stays below 2^52
+# exactness windows of the numpy cross backend (see _cross_histogram_numpy)
 _F64_EXACT_LIMIT = 1 << 52
+_U16_EXACT_LIMIT = 1 << 16
+_F32_EXACT_LIMIT = 1 << 24
 
 
 @dataclass(frozen=True)
@@ -187,15 +203,16 @@ def _masks_to_matrix(masks: list[int], words: int):
     return _np.frombuffer(buf, dtype="<u8").reshape(len(masks), words)
 
 
-def _profiles(cluster: Cluster, g: int):
+def _profiles(cluster: Cluster, g: int) -> dict[bytes, int]:
     """Deduplicated residue-count profiles of the rows over Z/g.
 
-    profile[r] counts the set bits of a row at positions = r (mod g).  For
-    any two clusters, the intersection size of a pair of lifted rows equals
-    the dot product of their profiles over g = gcd of the orders (the map
-    x -> (x mod L_a, x mod L_b) is a bijection onto the pairs agreeing mod
-    g), so the cross histogram only needs profiles; rows sharing a profile
-    merge here, weights summing exactly.
+    profile[r] counts the set bits of a row at positions = r (mod g), stored
+    as the bytes of g uint16 counts (each at most order/g, which the caller
+    has checked is below 2^16).  For any two clusters, the intersection size
+    of a pair of lifted rows equals the dot product of their profiles over
+    g = gcd of the orders (the map x -> (x mod L_a, x mod L_b) is a bijection
+    onto the pairs agreeing mod g), so the cross histogram only needs
+    profiles; rows sharing a profile merge here, weights summing exactly.
     """
     order = cluster.order
     reps = order // g
@@ -217,30 +234,80 @@ def _profiles(cluster: Cluster, g: int):
                 grouped[key] += w
             else:
                 grouped[key] = w
-    keys = list(grouped.keys())
-    mat = (
+    return grouped
+
+
+def _profile_matrix(keys: list[bytes], g: int):
+    # uint16 counts are exact in float32
+    return (
         _np.frombuffer(b"".join(keys), dtype=_np.uint16)
         .reshape(len(keys), g)
         .astype(_np.float32)
     )
-    weights = [grouped[k] for k in keys]
-    return mat, weights
+
+
+def _rotate(key: bytes) -> bytes:
+    """The profile shifted by one position mod g: out[r] = key[r - 1]."""
+    return key[-2:] + key[:-2]
+
+
+def _rotation_orbits(
+    side: dict[bytes, int], other: dict[bytes, int]
+) -> tuple[list[bytes], list[int]]:
+    """Representatives of `side`'s profiles under rotation mod g, each with
+    the summed weight of the orbit members present in `side`.
+
+    dot(rot^s r, p) = dot(r, rot^-s p), so when `other`'s profile -> weight
+    map is invariant under rotation, every member of an orbit meets the same
+    nu-histogram against `other`, and one representative per orbit carries
+    the orbit's weight.  Clusters built by prime_cluster and merge always
+    pass (f_M(2m) = f_M(m) + 1 rotates a row by one exponent and keeps its
+    multiplicity); a hand-built cluster may not, and then each profile is
+    its own orbit.  One lookup per profile checks the invariance: rotation
+    maps the finite support into itself injectively, hence onto itself.
+    """
+    if any(other.get(_rotate(key)) != w for key, w in other.items()):
+        return list(side), list(side.values())
+    reps: list[bytes] = []
+    weights: list[int] = []
+    seen: set[bytes] = set()
+    for key in side:
+        if key in seen:
+            continue
+        orbit = {key}
+        member = _rotate(key)
+        while member != key:
+            orbit.add(member)
+            member = _rotate(member)
+        seen |= orbit
+        reps.append(key)
+        weights.append(sum(side.get(m, 0) for m in orbit))
+    return reps, weights
 
 
 def _cross_histogram_numpy(a: Cluster, b: Cluster, order: int) -> dict[int, int]:
+    """Cross histogram over profile orbit representatives x full profiles.
+
+    Exactness windows, checked by cross_histogram before this runs:
+    profile counts are at most max order / g and are summed in uint16
+    (< 2^16); dot products are at most lcm(orders) = order and are formed
+    in float32 with nonnegative integer terms, so every partial sum is an
+    exact integer (< 2^24); per-representative weight sums over the other
+    side are float64 and total at most its modulus part (< 2^52).
+    """
     g = math.gcd(a.order, b.order)
-    prof_a, mult_a = _profiles(a, g)
-    prof_b, mult_b = _profiles(b, g)
-    if len(mult_a) > len(mult_b):
+    prof_a = _profiles(a, g)
+    prof_b = _profiles(b, g)
+    if len(prof_a) > len(prof_b):
         prof_a, prof_b = prof_b, prof_a
-        mult_a, mult_b = mult_b, mult_a
-    weights_b = _np.array(mult_b, dtype=_np.float64)
-    prof_b_t = _np.ascontiguousarray(prof_b.T)
+    reps, mult_a = _rotation_orbits(prof_a, prof_b)
+    mat_a = _profile_matrix(reps, g)
+    prof_b_t = _np.ascontiguousarray(_profile_matrix(list(prof_b), g).T)
+    weights_b = _np.array(list(prof_b.values()), dtype=_np.float64)
     counts: dict[int, int] = {}
-    block = max(1, (1 << 24) // max(len(mult_b), 1))
-    for lo in range(0, prof_a.shape[0], block):
-        # profile dot products are exact small integers in float32
-        nu_block = (prof_a[lo : lo + block] @ prof_b_t).astype(_np.int64)
+    block = max(1, (1 << 24) // max(len(weights_b), 1))
+    for lo in range(0, mat_a.shape[0], block):
+        nu_block = (mat_a[lo : lo + block] @ prof_b_t).astype(_np.int64)
         for i in range(nu_block.shape[0]):
             hist = _np.bincount(nu_block[i], weights=weights_b, minlength=order + 1)
             nz = _np.nonzero(hist)[0]
@@ -255,11 +322,28 @@ def _cross_histogram_numpy(a: Cluster, b: Cluster, order: int) -> dict[int, int]
     return counts
 
 
+def _numpy_window_error(a: Cluster, b: Cluster) -> str | None:
+    """Why the numpy cross would leave an exactness window, or None."""
+    count = max(a.order, b.order) // math.gcd(a.order, b.order)
+    order = math.lcm(a.order, b.order)
+    if max(a.modulus_part, b.modulus_part) >= _F64_EXACT_LIMIT:
+        return "multiplicities too large for the numpy backend"
+    if count >= _U16_EXACT_LIMIT:
+        return f"profile counts up to {count} overflow uint16 in the numpy backend"
+    if order >= _F32_EXACT_LIMIT:
+        return (
+            f"intersection sizes up to {order} are not exact in float32 "
+            "in the numpy backend"
+        )
+    return None
+
+
 def cross_histogram(a: Cluster, b: Cluster, backend: str = "auto") -> DeltaHistogram:
     """Histogram of the merged cluster without materializing it: for every
     row pair, mult_a * mult_b is accumulated at nu = popcount of the
     intersection.  Exact; the numpy backend is used when the work is large
-    and the weights provably fit the float64-exact window."""
+    and the pair fits all of its exactness windows (a forced
+    backend="numpy" outside them raises ValueError)."""
     if math.gcd(a.modulus_part, b.modulus_part) != 1:
         raise ValueError(
             f"modulus parts {a.modulus_part}, {b.modulus_part} are not coprime"
@@ -267,18 +351,19 @@ def cross_histogram(a: Cluster, b: Cluster, backend: str = "auto") -> DeltaHisto
     order = math.lcm(a.order, b.order)
     if backend not in ("auto", "numpy", "pure"):
         raise ValueError(f"unknown backend {backend!r}")
+    window_error = _numpy_window_error(a, b)
     use_numpy = backend == "numpy"
     if backend == "auto":
         use_numpy = (
             _np is not None
             and len(a.rows) * len(b.rows) >= 1 << 18
-            and max(a.modulus_part, b.modulus_part) < _F64_EXACT_LIMIT
+            and window_error is None
         )
     if use_numpy:
         if _np is None:
             raise RuntimeError("numpy backend requested but numpy is unavailable")
-        if max(a.modulus_part, b.modulus_part) >= _F64_EXACT_LIMIT:
-            raise ValueError("multiplicities too large for the numpy backend")
+        if window_error is not None:
+            raise ValueError(window_error)
         counts = _cross_histogram_numpy(a, b, order)
     else:
         lifted_a = augment(a, order)

@@ -1,13 +1,17 @@
 import itertools
+import math
 import random
 from fractions import Fraction
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
-from p2k.modcore import factorize, primes_up_to
+from p2k.modcore import factorize, ord2, primes_up_to
 from p2k.density import (
     TRIVIAL_CLUSTER,
     BoundResult,
+    Cluster,
     DeltaHistogram,
     augment,
     balance_partition,
@@ -19,6 +23,7 @@ from p2k.density import (
     prime_cluster,
     run_estimate,
 )
+from p2k.density import _half_cluster, _profiles, _rotation_orbits
 
 
 def test_prime_cluster_3():
@@ -127,6 +132,109 @@ def test_cross_numpy_backend_matches_pure():
         h_np = cross_histogram(left, right, backend="numpy")
         h_pure = cross_histogram(left, right, backend="pure")
         assert h_np.counts == h_pure.counts
+
+
+def _shift_one_unit_to_a_rotation(cluster):
+    """Move one unit of multiplicity from a row's rotation (by one exponent)
+    to the row itself: same total, but no longer rotation-invariant."""
+    full = (1 << cluster.order) - 1
+    for mask in sorted(cluster.rows):
+        rot = ((mask << 1) | (mask >> (cluster.order - 1))) & full
+        if rot != mask and rot in cluster.rows:
+            rows = dict(cluster.rows)
+            rows[mask] += 1
+            rows[rot] -= 1
+            if rows[rot] == 0:
+                del rows[rot]
+            return Cluster(cluster.modulus_part, cluster.order, rows)
+    raise AssertionError("no row with a distinct rotation")
+
+
+_DIFF_POOL = (3, 5, 7, 11, 13, 17, 19, 23, 29, 31, 37, 41, 43, 73, 127, 241)
+
+
+@st.composite
+def _split_prime_sets(draw):
+    """A nonempty odd prime set with a random two-way split.  Primes are
+    kept while M * ord2(M) <= 2 * 10^6, so the brute-force oracle stays
+    fast (M itself is far inside its 10^7 range)."""
+    drawn = draw(st.lists(st.sampled_from(_DIFF_POOL), min_size=1, max_size=6,
+                          unique=True))
+    primes = [drawn[0]]
+    for p in drawn[1:]:
+        M = math.prod(primes) * p
+        if M * ord2(M) <= 2 * 10**6:
+            primes.append(p)
+    sides = draw(st.lists(st.booleans(), min_size=len(primes),
+                          max_size=len(primes)))
+    left = tuple(p for p, s in zip(primes, sides) if s)
+    right = tuple(p for p, s in zip(primes, sides) if not s)
+    return left, right
+
+
+@settings(max_examples=60, deadline=None)
+@given(_split_prime_sets())
+def test_cross_numpy_quotient_equals_pure_and_oracle(split):
+    left, right = split
+    a, b = _half_cluster(left), _half_cluster(right)
+    h_np = cross_histogram(a, b, backend="numpy")
+    h_pure = cross_histogram(a, b, backend="pure")
+    assert h_np.counts == h_pure.counts
+    assert h_pure.counts == brute_force_delta(math.prod(left + right)).counts
+
+
+@pytest.mark.parametrize("left,right", [
+    ((3,), (5, 7)),
+    ((3, 7), (5, 13)),
+    ((5,), (3, 7, 13)),
+])
+def test_cross_numpy_matches_pure_on_non_invariant_cluster(left, right):
+    # the altered cluster has more profiles, so it is the side whose
+    # invariance the numpy backend checks; the check must fail and the
+    # backend must fall back to one orbit per profile
+    a = _half_cluster(left)
+    b = _shift_one_unit_to_a_rotation(_half_cluster(right))
+    b.validate()
+    g = math.gcd(a.order, b.order)
+    assert len(_profiles(b, g)) > len(_profiles(a, g))
+    h_np = cross_histogram(a, b, backend="numpy")
+    assert h_np.counts == cross_histogram(a, b, backend="pure").counts
+
+
+def test_rotation_orbits_quotient_merged_clusters():
+    a, b = _half_cluster((3, 5, 7)), _half_cluster((11, 13))
+    g = math.gcd(a.order, b.order)
+    prof_a, prof_b = _profiles(a, g), _profiles(b, g)
+    reps, weights = _rotation_orbits(prof_a, prof_b)
+    assert len(reps) < len(prof_a)
+    assert sum(weights) == a.modulus_part
+    altered = _profiles(_shift_one_unit_to_a_rotation(b), g)
+    assert _rotation_orbits(prof_a, altered) == (list(prof_a), list(prof_a.values()))
+
+
+def test_cross_numpy_uint16_window():
+    # order/g = 70000 used to wrap the uint16 profile count to 4464
+    big = Cluster(15, 70000, {(1 << 70000) - 1: 15})
+    with pytest.raises(ValueError):
+        cross_histogram(big, TRIVIAL_CLUSTER, backend="numpy")
+    assert cross_histogram(big, TRIVIAL_CLUSTER, backend="pure").counts == {70000: 15}
+    assert cross_histogram(big, TRIVIAL_CLUSTER).counts == {70000: 15}
+    edge = Cluster(15, 65536, {(1 << 65536) - 1: 15})
+    with pytest.raises(ValueError):
+        cross_histogram(edge, TRIVIAL_CLUSTER, backend="numpy")
+    inside = Cluster(15, 65532, {(1 << 65532) - 1: 15})
+    assert cross_histogram(inside, TRIVIAL_CLUSTER, backend="numpy").counts == {65532: 15}
+
+
+def test_cross_numpy_float32_window():
+    # order/g = 4097 fits uint16, but the lcm 4096 * 4097 >= 2^24 does not
+    # fit float32 exactly
+    order = 4096 * 4097
+    a = Cluster(15, order, {(1 << order) - 1: 15})
+    b = Cluster(17, 4096, {(1 << 4096) - 1: 17})
+    with pytest.raises(ValueError):
+        cross_histogram(a, b, backend="numpy")
+    assert cross_histogram(a, b).counts == {order: 15 * 17}
 
 
 def test_cross_rejects_common_factor():
