@@ -1,35 +1,44 @@
-"""Sieve verifying that every odd class mod b < 11184810 contains some p + 2^k.
+"""Even-modulus sieve: which odd classes mod b contain no number p + 2^k.
 
 For even b, an odd residue j provably contains a number p + 2^k as soon as
-gcd(j - 2^k, b) = 1 for some k >= 1 (Dirichlet then supplies the prime).  So
-start from the set of odd residues and strike out the shift R_b + 2^k of the
-reduced residue system for k = 1, 2, ...; the moment the set empties, b is
-cleared.  The shift values 2^k mod b eventually cycle (pre-period at most j,
-period ord_2 of the odd part), so the strike-out loop stops at the first
-repeated shift; whatever survives can never be removed.
+gcd(j - 2^k, b) = 1 for some k >= 1 (Dirichlet then supplies the prime).
+j - 2^k is odd, so the gcd exceeds 1 exactly when some odd prime q | b
+divides j - 2^k, i.e. when 2^k = j (mod q).  For one q those k form a single
+class mod ord_2(q) when j mod q lies in the subgroup <2>, and there are none
+otherwise (j = 0 mod q included).  So j survives every shift exactly when
+its blocked classes, at most one per odd prime q | b, cover Z.  Only j mod q
+matters for each q, so by CRT every choice of one class or none per q is
+met by some j; the powers of q in b and the factor 2^v2(b) only multiply the
+number of such j.
 
-Bitsets are plain Python ints, one bit per residue in [0, b): striking one
-shift is a rotate-and-clear, word-level work rather than a per-residue loop.
+Everything therefore lives on exponents mod T = lcm of the orders, and one
+search decides b: it picks one class per prime, branching on the least
+uncovered exponent (Knuth's Algorithm X).
+* Covered b: some j survives the first K shifts exactly when one class per
+  order covers 1..K.  With L the longest such prefix (L < T), the sieve
+  empties after shifts_used = L + 1 shifts.
+* Uncovered b: the shift values 2^k mod b run through v2(b) - 1 pre-period
+  values and then ord_2(b_odd) periodic ones, and the strike-out stops at the
+  first repeat, so shifts_used = v2(b) - 1 + ord_2(b_odd).  leftover holds
+  every odd j whose choice vector covers Z/T, rebuilt by CRT: class e for q
+  gives j = 2^e (mod q), no class gives the residues mod q outside <2>, each
+  lifted to the power of q in b and combined with every odd residue mod
+  2^v2(b).
+
+The range scan first drops every b that fails the counting screen
+sum(T // o) >= T: one class mod o holds T / o of the T exponents mod T, so
+classes with fewer than T exponents in total cannot cover Z/T.  The screen
+is exact integer arithmetic and only ever drops covered b.
 """
 
 from __future__ import annotations
 
 import json
 import math
-import os
 import time
-from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass, field
 
-from .modcore import factorize, is_prime
-
-try:
-    import numpy as _np
-except ImportError:  # pragma: no cover - numpy is a declared dependency
-    _np = None
-
-# below this, plain-int mask construction beats array round-trips
-_NUMPY_MASK_MIN_B = 1 << 14
+from .modcore import _ord2_prime, factorize, is_prime, ord2, primes_up_to
 
 
 @dataclass(frozen=True)
@@ -64,100 +73,102 @@ class ScanReport:
     b_hi: int
     uncovered_moduli: list[ModulusVerdict] = field(default_factory=list)
     elapsed: float = 0.0
-    checkpoint: int = 0  # last completed b
 
 
-def _multiples_pattern(q: int, b: int) -> int:
-    """Bits at 0, q, 2q, ... below b, built by doubling replication."""
-    pattern = 1
-    width = q
-    while width < b:
-        pattern |= pattern << width
-        width <<= 1
-    return pattern & ((1 << b) - 1)
+def _cover_search(orders):
+    """Walk the choices of one exponent class per entry of orders, branching
+    on the least exponent in 1..T (T = lcm of orders) left uncovered.
 
-
-# byte-level multiples-of-q patterns (period q bytes = 8q bits), cached
-_byte_patterns: dict[int, bytes] = {}
-_PATTERN_Q_MAX = 2048
-
-
-def _multiples_byte_pattern(q: int) -> bytes:
-    pattern = _byte_patterns.get(q)
-    if pattern is None:
-        buf = bytearray(q)
-        for j in range(0, 8 * q, q):
-            buf[j >> 3] |= 1 << (j & 7)
-        pattern = bytes(buf)
-        _byte_patterns[q] = pattern
-    return pattern
-
-
-def _coprime_mask(b: int, odd_primes) -> int:
-    """Bitmask of the reduced residue system mod b (b even)."""
-    if _np is not None and b >= _NUMPY_MASK_MIN_B:
-        nbytes = (b + 7) >> 3
-        noncoprime = _np.frombuffer(b"\x55" * nbytes, dtype=_np.uint8).copy()
-        for q in odd_primes:
-            if q <= _PATTERN_Q_MAX:
-                reps = -(-nbytes // q)
-                tile = _np.frombuffer(
-                    _multiples_byte_pattern(q) * reps, dtype=_np.uint8
-                )[:nbytes]
-                noncoprime |= tile
-            else:
-                # multiples land in distinct bytes once q > 8
-                idx = _np.arange(0, b, q)
-                noncoprime[idx >> 3] |= (1 << (idx & 7)).astype(_np.uint8)
-        _np.invert(noncoprime, out=noncoprime)
-        if b & 7:
-            noncoprime[-1] &= (1 << (b & 7)) - 1  # zero tail bits past b
-        return int.from_bytes(noncoprime.tobytes(), "little")
-    full = (1 << b) - 1
-    noncoprime = _multiples_pattern(2, b)
-    for q in odd_primes:
-        noncoprime |= _multiples_pattern(q, b)
-    return full ^ noncoprime
-
-
-def _rotate(mask: int, s: int, b: int, full: int) -> int:
-    if s == 0:
-        return mask
-    return ((mask << s) & full) | (mask >> (b - s))
-
-
-def check_even_modulus(b: int, odd_primes=None) -> ModulusVerdict:
-    """Run the strike-out sieve for one even modulus.
-
-    odd_primes may supply the distinct odd prime factors of b (as a scan
-    sieve does); otherwise they are factored out here.
+    Yields (prefix, classes, barred) at every node: 1..prefix is covered
+    (prefix = T once all of Z/T is), classes[i] is the class mod orders[i]
+    chosen for entry i or None, and barred[i] the classes entry i may not
+    take.  An entry tried on exponent x is barred from x in the later
+    branches, so the covering nodes split the covering choice vectors into
+    disjoint families: an entry left at None takes any class outside
+    barred[i], or none.  The lists are live; read them before resuming.
     """
+    T = math.lcm(*orders)
+    full = (1 << T) - 1
+    # bits 0, o, 2o, ... below T; parsed from a bit string, which takes
+    # linear time where full // (2^o - 1) is quadratic in large T
+    periods = [int(("0" * (o - 1) + "1") * (T // o), 2) for o in orders]
+    classes = [None] * len(orders)
+    barred = [set() for _ in orders]
+
+    def walk(covered):
+        # bit e - 1 stands for exponent e; x is the least uncovered one
+        x = (~covered & (covered + 1)).bit_length()
+        yield x - 1, classes, barred
+        if x > T:
+            return
+        tried = []
+        for i, o in enumerate(orders):
+            c = x % o
+            if classes[i] is None and c not in barred[i]:
+                classes[i] = c
+                yield from walk(covered | ((periods[i] << (x - 1)) & full))
+                classes[i] = None
+                barred[i].add(c)
+                tried.append(i)
+        for i in tried:
+            barred[i].discard(x % orders[i])
+
+    return walk(0)
+
+
+def _longest_prefix(orders) -> int:
+    """Largest L <= lcm(orders) such that one exponent class per entry
+    covers 1..L; L = lcm(orders) exactly when the classes can cover Z."""
+    T = math.lcm(*orders)
+    best = 0
+    for prefix, _, _ in _cover_search(orders):
+        if prefix > best:
+            best = prefix
+            if best == T:
+                break
+    return best
+
+
+def _leftover(two: int, odd_factors, orders) -> tuple[int, ...]:
+    """Odd residues mod two * prod(q^f) whose blocked classes cover Z, by
+    CRT over the covering families of _cover_search."""
+    T = math.lcm(*orders)
+    out: list[int] = []
+    for prefix, classes, barred in _cover_search(orders):
+        if prefix < T:
+            continue
+        residues, m = list(range(1, two, 2)), two
+        for (q, f), c, bar in zip(odd_factors, classes, barred):
+            if c is None:
+                blocked = {pow(2, e, q) for e in bar}
+                base = [r for r in range(q) if r not in blocked]
+            else:
+                base = [pow(2, c, q)]
+            qf = q**f
+            lifts = [r + q * t for r in base for t in range(qf // q)]
+            inv = pow(m, -1, qf)
+            residues = [x + m * ((r - x) * inv % qf) for x in residues for r in lifts]
+            m *= qf
+        out += residues
+    return tuple(sorted(out))
+
+
+def check_even_modulus(b: int) -> ModulusVerdict:
+    """Verdict for one even modulus from the orders of its odd primes."""
     if b < 2 or b % 2 != 0:
         raise ValueError(f"modulus must be even and >= 2, got {b}")
-    if odd_primes is None:
-        odd_primes = [p for p, _ in factorize(b) if p != 2]
-    coprime = _coprime_mask(b, odd_primes)
-    full = (1 << b) - 1
-    remaining = full // 3 << 1  # bits at the odd residues
-    seen_shifts = set()
-    shift = 1
-    k = 0
-    while True:
-        shift = shift * 2 % b
-        if shift in seen_shifts:
-            # all distinct shift values exhausted; survivors are final
-            leftover = []
-            m = remaining
-            while m:
-                low = m & -m
-                leftover.append(low.bit_length() - 1)
-                m ^= low
-            return ModulusVerdict(b, False, k, tuple(leftover))
-        seen_shifts.add(shift)
-        k += 1
-        remaining &= ~_rotate(coprime, shift, b, full)
-        if remaining == 0:
-            return ModulusVerdict(b, True, k)
+    odd_factors = [(q, f) for q, f in factorize(b) if q != 2]
+    orders = [_ord2_prime(q) for q, _ in odd_factors]
+    prefix = _longest_prefix(orders)
+    if prefix < math.lcm(*orders):
+        return ModulusVerdict(b, True, prefix + 1)
+    two = b & -b
+    return ModulusVerdict(
+        b,
+        False,
+        two.bit_length() - 2 + ord2(b // two),
+        _leftover(two, odd_factors, orders),
+    )
 
 
 def residual_to_progressions(verdict: ModulusVerdict) -> list[tuple[int, int]]:
@@ -168,125 +179,63 @@ def residual_to_progressions(verdict: ModulusVerdict) -> list[tuple[int, int]]:
     return [(a, verdict.b) for a in verdict.leftover]
 
 
-def _chunk_odd_prime_factors(b_values: list[int]) -> dict[int, list[int]]:
-    """Distinct odd prime factors for each b in a dense chunk, by sieving."""
-    if not b_values:
-        return {}
-    lo, hi = b_values[0], b_values[-1]
-    index = {b: i for i, b in enumerate(b_values)}
-    factors: list[list[int]] = [[] for _ in b_values]
-    residue: list[int] = list(b_values)
-    for p in range(3, math.isqrt(hi) + 1, 2):
-        if all(p % q for q in range(3, math.isqrt(p) + 1, 2)):
-            start = -lo % p + lo
-            for m in range(start, hi + 1, p):
-                i = index.get(m)
-                if i is not None:
-                    factors[i].append(p)
-                    while residue[i] % p == 0:
-                        residue[i] //= p
-    out = {}
-    for b, i in index.items():
-        rem = residue[i]
-        while rem % 2 == 0:
-            rem //= 2
-        if rem > 1:
-            factors[i].append(rem)  # the one prime factor above sqrt(hi)
-        out[b] = factors[i]
-    return out
+def _chunk_odd_prime_factors(lo: int, hi: int, odd_primes) -> list[list[int]]:
+    """Distinct odd prime factors, ascending, of each even b in [lo, hi]
+    (lo even), by sieving with odd_primes, which must reach sqrt(hi)."""
+    count = (hi - lo) // 2 + 1
+    factors: list[list[int]] = [[] for _ in range(count)]
+    rest = list(range(lo // 2, lo // 2 + count))  # b / 2
+    for p in odd_primes:
+        if p * p > hi:
+            break
+        for i in range(-(lo // 2) % p, count, p):
+            factors[i].append(p)
+            r = rest[i] // p
+            while r % p == 0:
+                r //= p
+            rest[i] = r
+    for fs, r in zip(factors, rest):
+        r >>= (r & -r).bit_length() - 1
+        if r > 1:
+            fs.append(r)  # the one prime factor above sqrt(hi)
+    return factors
 
 
-def _scan_chunk(args) -> list[str]:
-    b_values, = args
-    fac = _chunk_odd_prime_factors(b_values)
-    results = []
-    for b in b_values:
-        verdict = check_even_modulus(b, odd_primes=fac[b])
-        if not verdict.covered:
-            results.append(verdict.to_json())
-    return results
+def scan_range(b_lo: int, b_hi: int) -> ScanReport:
+    """Uncovered verdicts for every even b >= 2 in [b_lo, b_hi].
 
-
-def _write_checkpoint(path: str, last_b: int, uncovered: list[ModulusVerdict]):
-    tmp = path + ".tmp"
-    with open(tmp, "w") as fh:
-        fh.write(f"last_b={last_b}\n")
-        for v in uncovered:
-            fh.write(v.to_json() + "\n")
-    os.replace(tmp, path)
-
-
-def read_checkpoint(path: str) -> tuple[int, list[ModulusVerdict]]:
-    """Returns (last completed b, uncovered verdicts so far)."""
-    with open(path) as fh:
-        lines = [ln.strip() for ln in fh if ln.strip()]
-    if not lines or not lines[0].startswith("last_b="):
-        raise ValueError(f"malformed checkpoint file {path}")
-    last_b = int(lines[0].split("=", 1)[1])
-    uncovered = [ModulusVerdict.from_json(ln) for ln in lines[1:]]
-    return last_b, uncovered
-
-
-def scan_range(
-    b_lo: int,
-    b_hi: int,
-    checkpoint_path: str | None = None,
-    workers: int = 1,
-    chunk_size: int = 2048,
-    progress=None,
-) -> ScanReport:
-    """check_even_modulus for every even b in [b_lo, b_hi], resumably.
-
-    A checkpoint file (one 'last_b=<n>' line plus a JSON line per uncovered
-    verdict) is rewritten as contiguous chunks complete, so an interrupted
-    scan restarts where it left off.  Chunks are independent; with workers
-    > 1 they run in a process pool and merge order-independently.
+    Blocks of about sqrt(b_hi) consecutive integers, the usual segmented
+    sieve length, are factored at a time, so memory stays flat over any
+    range.  Orders are computed once per prime that divides some b, and the
+    longest prefix once per multiset of orders that passes the screen;
+    check_even_modulus runs only on the b found uncovered.
     """
-    if b_lo > b_hi:
-        raise ValueError(f"empty range ({b_lo}, {b_hi})")
-    start = max(2, b_lo + (b_lo % 2))
-    stop = b_hi - (b_hi % 2)
+    start = max(2, b_lo + b_lo % 2)
+    stop = b_hi - b_hi % 2
+    if start > stop:
+        raise ValueError(f"no even b >= 2 in [{b_lo}, {b_hi}]")
     t0 = time.monotonic()
+    odd_primes = primes_up_to(math.isqrt(stop))[1:]
+    orders: dict[int, int] = {}
+    prefixes: dict[tuple[int, ...], int] = {}
     uncovered: list[ModulusVerdict] = []
-    resume_from = start
-    if checkpoint_path and os.path.exists(checkpoint_path):
-        last_b, uncovered = read_checkpoint(checkpoint_path)
-        resume_from = max(start, last_b + 2)
-
-    chunks = []
-    b = resume_from
-    while b <= stop:
-        end = min(b + 2 * (chunk_size - 1), stop)
-        chunks.append(list(range(b, end + 1, 2)))
-        b = end + 2
-
-    def finish_chunk(chunk, results):
-        nonlocal uncovered
-        uncovered.extend(ModulusVerdict.from_json(r) for r in results)
-        if checkpoint_path:
-            _write_checkpoint(checkpoint_path, chunk[-1], uncovered)
-        if progress is not None:
-            progress(chunk[-1], len(uncovered))
-
-    if workers <= 1:
-        for chunk in chunks:
-            finish_chunk(chunk, _scan_chunk((chunk,)))
-    else:
-        with ProcessPoolExecutor(max_workers=workers) as pool:
-            for chunk, results in zip(
-                chunks, pool.map(_scan_chunk, [(c,) for c in chunks])
-            ):
-                finish_chunk(chunk, results)
-
-    uncovered.sort(key=lambda v: v.b)
-    report = ScanReport(
-        b_lo=start,
-        b_hi=stop,
-        uncovered_moduli=uncovered,
-        elapsed=time.monotonic() - t0,
-        checkpoint=stop if stop >= resume_from else resume_from - 2,
-    )
-    return report
+    width = 2 * math.isqrt(stop)
+    for lo in range(start, stop + 1, width):
+        hi = min(lo + width - 2, stop)
+        for b, qs in zip(range(lo, hi + 1, 2), _chunk_odd_prime_factors(lo, hi, odd_primes)):
+            for q in qs:
+                if q not in orders:
+                    orders[q] = _ord2_prime(q)
+            ords = [orders[q] for q in qs]
+            T = math.lcm(*ords)
+            if sum(T // o for o in ords) < T:
+                continue
+            key = tuple(sorted(ords))
+            if key not in prefixes:
+                prefixes[key] = _longest_prefix(key)
+            if prefixes[key] == T:
+                uncovered.append(check_even_modulus(b))
+    return ScanReport(start, stop, uncovered, time.monotonic() - t0)
 
 
 def find_witness(

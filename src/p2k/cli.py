@@ -10,13 +10,10 @@ from __future__ import annotations
 
 import argparse
 import json
-import os
 import sys
 import time
 
 from . import chenscan, covering, density, progressions
-
-WORKERS_ENV = "P2K_WORKERS"
 
 
 def _parse_classes(text: str) -> covering.CoveringSystem:
@@ -32,35 +29,13 @@ def _parse_ints(text: str) -> list[int]:
     return [int(x) for x in text.split(",") if x.strip()]
 
 
-def _load_config(path: str | None) -> dict[str, str]:
-    if not path:
-        return {}
-    config = {}
-    with open(path) as fh:
-        for line in fh:
-            line = line.strip()
-            if not line or line.startswith("#"):
-                continue
-            key, _, value = line.partition("=")
-            config[key.strip()] = value.strip()
-    return config
-
-
-def _default_workers(config: dict[str, str]) -> int:
-    if WORKERS_ENV in os.environ:
-        return int(os.environ[WORKERS_ENV])
-    if "workers" in config:
-        return int(config["workers"])
-    return 1
-
-
 def _emit(text: str):
     sys.stdout.write(text)
     if not text.endswith("\n"):
         sys.stdout.write("\n")
 
 
-def _cmd_cover_enumerate(args, config) -> int:
+def _cmd_cover_enumerate(args) -> int:
     last_note = [time.monotonic()]
 
     def progress(mods, found):
@@ -88,7 +63,7 @@ def _cmd_cover_enumerate(args, config) -> int:
     return 0
 
 
-def _cmd_cover_verify(args, config) -> int:
+def _cmd_cover_verify(args) -> int:
     system = _parse_classes(args.classes)
     assignments = covering.find_prime_assignments(system.moduli)
     result = {
@@ -121,7 +96,7 @@ def _assignment_for(args, system: covering.CoveringSystem) -> covering.PrimeAssi
     return asg
 
 
-def _cmd_progression_derive(args, config) -> int:
+def _cmd_progression_derive(args) -> int:
     system = _parse_classes(args.classes)
     asg = _assignment_for(args, system)
     prog = progressions.derive_progression(system, asg)
@@ -141,7 +116,7 @@ def _cmd_progression_derive(args, config) -> int:
     return 0
 
 
-def _cmd_progression_verify(args, config) -> int:
+def _cmd_progression_verify(args) -> int:
     system = _parse_classes(args.classes)
     asg = _assignment_for(args, system)
     prog = progressions.derive_progression(system, asg)
@@ -161,7 +136,7 @@ def _cmd_progression_verify(args, config) -> int:
     return 0
 
 
-def _cmd_progression_census(args, config) -> int:
+def _cmd_progression_census(args) -> int:
     if args.D is not None:
         report = covering.enumerate_cdl_systems(args.D)
         pairs = sorted(set(report.progressions))
@@ -177,7 +152,7 @@ def _cmd_progression_census(args, config) -> int:
     return 0
 
 
-def _cmd_chen_check(args, config) -> int:
+def _cmd_chen_check(args) -> int:
     verdict = chenscan.check_even_modulus(args.b)
     if args.format == "json":
         _emit(verdict.to_json())
@@ -193,23 +168,8 @@ def _cmd_chen_check(args, config) -> int:
     return 0
 
 
-def _cmd_chen_scan(args, config) -> int:
-    workers = args.workers if args.workers else _default_workers(config)
-    last_note = [time.monotonic()]
-
-    def progress(last_b, uncovered):
-        now = time.monotonic()
-        if now - last_note[0] > 5:
-            last_note[0] = now
-            print(f"... scanned to b={last_b}, {uncovered} uncovered", file=sys.stderr)
-
-    report = chenscan.scan_range(
-        args.from_b,
-        args.to_b,
-        checkpoint_path=args.checkpoint,
-        workers=workers,
-        progress=progress,
-    )
+def _cmd_chen_scan(args) -> int:
+    report = chenscan.scan_range(args.from_b, args.to_b)
     if args.format == "json":
         _emit(
             json.dumps(
@@ -218,7 +178,6 @@ def _cmd_chen_scan(args, config) -> int:
                     "to": report.b_hi,
                     "uncovered": [json.loads(v.to_json()) for v in report.uncovered_moduli],
                     "elapsed": report.elapsed,
-                    "checkpoint": report.checkpoint,
                 },
                 indent=2,
             )
@@ -233,7 +192,7 @@ def _cmd_chen_scan(args, config) -> int:
     return 0
 
 
-def _cmd_density(args, config) -> int:
+def _cmd_density(args) -> int:
     primes = _parse_ints(args.primes)
     partition = None
     if args.partition:
@@ -269,7 +228,6 @@ def build_parser() -> argparse.ArgumentParser:
         prog="p2k",
         description="Covering systems, progressions avoiding p + 2^k, and density bounds.",
     )
-    parser.add_argument("--config", help="key=value config file", default=None)
     sub = parser.add_subparsers(dest="group", required=True)
 
     cover = sub.add_parser("cover", help="covering-system operations")
@@ -314,8 +272,6 @@ def build_parser() -> argparse.ArgumentParser:
     scan_p = chen_sub.add_parser("scan", help="scan a range of even moduli")
     scan_p.add_argument("--from", type=int, required=True, dest="from_b")
     scan_p.add_argument("--to", type=int, required=True, dest="to_b")
-    scan_p.add_argument("--checkpoint", default=None)
-    scan_p.add_argument("--workers", type=int, default=None)
     scan_p.add_argument("--format", choices=("json", "table"), default="table")
     scan_p.set_defaults(func=_cmd_chen_scan)
 
@@ -336,9 +292,8 @@ def dispatch(argv=None) -> int:
         args = parser.parse_args(argv)
     except SystemExit as exc:
         return exc.code if isinstance(exc.code, int) else 2
-    config = _load_config(args.config)
     try:
-        return args.func(args, config)
+        return args.func(args)
     except (ValueError, AssertionError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 1

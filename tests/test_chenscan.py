@@ -4,13 +4,13 @@ import pytest
 
 from conftest import M48, RESIDUES_48
 from p2k.chenscan import (
+    ModulusVerdict,
     check_even_modulus,
     find_witness,
-    read_checkpoint,
     residual_to_progressions,
     scan_range,
 )
-from p2k.modcore import ord2
+from p2k.modcore import factorize, ord2
 
 
 def test_smallest_moduli_covered_in_one_shift():
@@ -41,6 +41,58 @@ def _direct_leftover(b):
         for j in range(1, b, 2)
         if all(math.gcd(j - s, b) != 1 for s in shifts)
     ]
+
+
+def _multiples(q, b):
+    """Bits at 0, q, 2q, ... below b, built by doubling replication."""
+    pattern, width = 1, q
+    while width < b:
+        pattern |= pattern << width
+        width <<= 1
+    return pattern & ((1 << b) - 1)
+
+
+def _bitset_verdict(b):
+    """The strike-out sieve, one bit per residue mod b: start from the odd
+    residues and clear the reduced residue system shifted by 2^k for
+    k = 1, 2, ... until the set empties or the shift values repeat."""
+    full = (1 << b) - 1
+    noncoprime = _multiples(2, b)
+    for q, _ in factorize(b):
+        noncoprime |= _multiples(q, b)
+    coprime = full ^ noncoprime
+    remaining = full // 3 << 1  # bits at the odd residues
+    seen, shift, k = set(), 1, 0
+    while True:
+        shift = shift * 2 % b
+        if shift in seen:
+            leftover, m = [], remaining
+            while m:
+                low = m & -m
+                leftover.append(low.bit_length() - 1)
+                m ^= low
+            return ModulusVerdict(b, False, k, tuple(leftover))
+        seen.add(shift)
+        k += 1
+        remaining &= ~(((coprime << shift) & full) | (coprime >> (b - shift)))
+        if remaining == 0:
+            return ModulusVerdict(b, True, k)
+
+
+def test_order_covering_equals_bitset_sieve_up_to_20000():
+    uncovered = []
+    for b in range(2, 20001, 2):
+        oracle = _bitset_verdict(b)
+        assert check_even_modulus(b) == oracle, b
+        if not oracle.covered:
+            uncovered.append(oracle)
+    assert scan_range(2, 20000).uncovered_moduli == uncovered
+
+
+@pytest.mark.parametrize("multiple", [1, 2, 3, 4])
+def test_order_covering_equals_bitset_sieve_at_multiples_of_m48(multiple):
+    b = multiple * M48
+    assert check_even_modulus(b) == _bitset_verdict(b)
 
 
 def test_bitset_equals_direct_gcd_loop_up_to_1000():
@@ -90,12 +142,27 @@ def test_doubled_modulus_keeps_lifted_survivors():
     assert lifted <= set(v.leftover)
 
 
+def test_prime_that_cannot_help_keeps_every_lift():
+    # ord_2(11) = 10 shares only the factor 2 with the period 24 of the 48,
+    # so no class of 11 completes a failed cover: the survivors mod 11 * M48
+    # are all 11 lifts of the 48, residues divisible by 11 included
+    v = check_even_modulus(11 * M48)
+    assert not v.covered and v.shifts_used == 120
+    assert list(v.leftover) == sorted(a + M48 * t for a in RESIDUES_48 for t in range(11))
+
+
 def test_scan_tiny_ranges():
     report = scan_range(2, 2)
     assert report.uncovered_moduli == []
     report = scan_range(2, 1000)
     assert report.uncovered_moduli == []
-    assert report.checkpoint == 1000
+    assert (report.b_lo, report.b_hi) == (2, 1000)
+
+
+@pytest.mark.parametrize("lo, hi", [(3, 3), (0, 1), (5, 4), (-10, 0)])
+def test_scan_without_even_modulus_is_an_error(lo, hi):
+    with pytest.raises(ValueError):
+        scan_range(lo, hi)
 
 
 def test_scan_finds_uncovered_when_present():
@@ -104,29 +171,15 @@ def test_scan_finds_uncovered_when_present():
     assert list(report.uncovered_moduli[0].leftover) == sorted(RESIDUES_48)
 
 
-def test_scan_checkpoint_resume(tmp_path):
-    path = str(tmp_path / "scan.ckpt")
-    scan_range(2, 4000, checkpoint_path=path, chunk_size=500)
-    last_b, uncovered = read_checkpoint(path)
-    assert last_b == 4000 and uncovered == []
-
-    # resumed scan must not redo completed moduli
-    processed = []
-    scan_range(2, 8000, checkpoint_path=path, chunk_size=500,
-               progress=lambda last, n: processed.append(last))
-    assert processed and min(processed) > 4000
-    assert read_checkpoint(path)[0] == 8000
-
-
-def test_scan_workers_match_sequential():
-    seq = scan_range(2, 3000)
-    par = scan_range(2, 3000, workers=2, chunk_size=256)
-    assert [v.b for v in seq.uncovered_moduli] == [v.b for v in par.uncovered_moduli]
+def test_full_range_leaves_only_11184810():
+    # the paper's result 2: every even b below 11184810 is covered
+    verdict = check_even_modulus(M48)
+    assert scan_range(2, M48).uncovered_moduli == [verdict]
+    assert verdict.shifts_used == 24
+    assert list(verdict.leftover) == sorted(RESIDUES_48)
 
 
 def test_verdict_json_round_trip(big_modulus_verdict):
-    from p2k.chenscan import ModulusVerdict
-
     back = ModulusVerdict.from_json(big_modulus_verdict.to_json())
     assert back == big_modulus_verdict
 

@@ -113,16 +113,32 @@ def test_chen_check_json(capsys):
     assert payload["leftover"] == sorted(RESIDUES_48)
 
 
-def test_chen_scan_json(capsys, tmp_path):
-    ckpt = str(tmp_path / "scan.ckpt")
+def test_chen_scan_json(capsys):
     code, out, _ = run_cli(
-        capsys, "chen", "scan", "--from", "2", "--to", "2000",
-        "--checkpoint", ckpt, "--format", "json",
+        capsys, "chen", "scan", "--from", "2", "--to", "2000", "--format", "json",
     )
     assert code == 0
     payload = json.loads(out)
     assert payload["uncovered"] == []
-    assert payload["checkpoint"] == 2000
+    assert (payload["from"], payload["to"]) == (2, 2000)
+
+
+def test_chen_scan_json_top_window(capsys):
+    code, out, _ = run_cli(
+        capsys, "chen", "scan", "--from", "11184610", "--to", "11184810",
+        "--format", "json",
+    )
+    assert code == 0
+    (verdict,) = json.loads(out)["uncovered"]
+    assert verdict["b"] == 11184810 and verdict["m"] == 24
+    assert verdict["leftover"] == sorted(RESIDUES_48)
+
+
+def test_chen_scan_empty_range_is_domain_error(capsys):
+    code, out, err = run_cli(capsys, "chen", "scan", "--from", "3", "--to", "3")
+    assert code == 1
+    assert out == ""
+    assert "no even b" in err
 
 
 def test_density_json_round_trip(capsys):
@@ -159,25 +175,3 @@ def test_density_csv(capsys):
     assert lines[0] == "nu,delta"
     assert lines[1:3] == ["1,2", "2,1"]
     assert lines[-1].startswith("bound,0.5")
-
-
-def test_config_file_sets_default_workers(tmp_path, capsys, monkeypatch):
-    cfg = tmp_path / "p2k.conf"
-    cfg.write_text("# comment\nworkers = 2\n")
-    monkeypatch.delenv("P2K_WORKERS", raising=False)
-    code, out, _ = run_cli(
-        capsys, "--config", str(cfg), "chen", "scan", "--from", "2", "--to", "600",
-        "--format", "json",
-    )
-    assert code == 0
-    assert json.loads(out)["uncovered"] == []
-
-
-def test_env_workers_override(monkeypatch):
-    from p2k.cli import _default_workers
-
-    monkeypatch.setenv("P2K_WORKERS", "3")
-    assert _default_workers({}) == 3
-    monkeypatch.delenv("P2K_WORKERS")
-    assert _default_workers({"workers": "2"}) == 2
-    assert _default_workers({}) == 1
