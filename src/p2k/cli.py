@@ -2,7 +2,7 @@
 
 Groups mirror the library: cover (enumerate/verify), progression
 (derive/verify/census), chen (check/scan), density.  Results go to stdout
-in the selected format; progress lines go to stderr only.  Exit codes:
+in the selected format; notes and errors go to stderr only.  Exit codes:
 0 success, 1 domain error, 2 usage error.
 """
 
@@ -11,7 +11,6 @@ from __future__ import annotations
 import argparse
 import json
 import sys
-import time
 
 from . import chenscan, covering, density, progressions
 
@@ -36,15 +35,7 @@ def _emit(text: str):
 
 
 def _cmd_cover_enumerate(args) -> int:
-    last_note = [time.monotonic()]
-
-    def progress(mods, found):
-        now = time.monotonic()
-        if now - last_note[0] > 5:
-            last_note[0] = now
-            print(f"... moduli {mods}: {found} coverings so far", file=sys.stderr)
-
-    report = covering.enumerate_cdl_systems(args.D, progress=progress)
+    report = covering.enumerate_cdl_systems(args.D)
     if args.format == "json":
         _emit(report.to_json())
     elif args.format == "csv":

@@ -7,6 +7,12 @@ progression all of whose elements avoid the form p + 2^k; this module finds
 and checks such systems.  Everything works over Z/D (D = lcm of the moduli)
 with D-bit masks: a class clears the bits of an arithmetic progression, and a
 tuple of classes covers iff the mask empties.
+
+Enumeration searches one translation class per modulus tuple (the largest
+modulus fixed on class 0, the shifts emitted afterwards), branches on the
+least uncovered residue with each tried class barred from the later sibling
+branches, and checks minimality only at covering leaves; enumerate_cdl_systems
+gives the details.
 """
 
 from __future__ import annotations
@@ -317,16 +323,94 @@ def _divisor_harmonic_exceeds_two(D: int) -> bool:
     return sum(D // d for d in divisors(D)) > 2 * D
 
 
-def enumerate_cdl_systems(D: int, progress=None) -> EnumerationReport:
+def _minimal_coverings(mods: tuple[int, ...], D: int) -> list[tuple[int, ...]]:
+    """Residue tuples, one class per modulus of mods (ascending, lcm D), of
+    every minimal covering of Z/D, sorted.
+
+    The search runs with the largest modulus on class 0 only and returns
+    the shifts of what it finds (see enumerate_cdl_systems).
+    """
+    n = len(mods)
+    top = n - 1
+    masks = [[_class_mask(a, d, D) for a in range(d)] for d in mods]
+    counts = [D // d for d in mods]
+    full = (1 << D) - 1
+    residues = [0] * n
+    placed = [False] * n  # the top modulus stays on class 0, outside the search
+    barred = [0] * n  # bit c of barred[i]: class c (mod mods[i]) is barred
+    found: list[tuple[int, ...]] = []
+
+    def is_minimal_leaf() -> bool:
+        chosen = [masks[i][residues[i]] for i in range(n)]
+        prefix = [0] * (n + 1)
+        for i in range(n):
+            prefix[i + 1] = prefix[i] | chosen[i]
+        suffix = 0
+        for i in range(n - 1, -1, -1):
+            if prefix[i] | suffix == full:
+                return False
+            suffix |= chosen[i]
+        return True
+
+    def search(uncovered: int, unplaced: int, budget: int):
+        # budget = residues the unplaced classes can clear at most
+        if uncovered == 0:
+            # covered with moduli unplaced: any extension is redundant
+            if unplaced == 0 and is_minimal_leaf():
+                found.append(tuple(residues))
+            return
+        if unplaced == 0 or uncovered.bit_count() > budget:
+            return
+        x = (uncovered & -uncovered).bit_length() - 1
+        tried = []
+        for i in range(top):
+            if placed[i]:
+                continue
+            c = x % mods[i]
+            if barred[i] >> c & 1:
+                continue
+            placed[i] = True
+            residues[i] = c
+            search(uncovered & ~masks[i][c], unplaced - 1, budget - counts[i])
+            placed[i] = False
+            barred[i] |= 1 << c
+            tried.append(i)
+        for i in tried:
+            barred[i] &= ~(1 << (x % mods[i]))
+
+    search(full & ~masks[top][0], n - 1, sum(counts[:top]))
+    return sorted(
+        tuple((a + r) % d for a, d in zip(res, mods))
+        for res in found
+        for r in range(mods[top])
+    )
+
+
+def enumerate_cdl_systems(D: int) -> EnumerationReport:
     """All minimal CDL covering systems whose moduli have lcm exactly D.
 
     Screens D by the divisor-density necessary condition (sum of 1/d over
-    d | D must exceed 2), selects modulus tuples from the divisors of D
-    with density sum > 1, lcm exactly D, and an existing distinct-prime
-    assignment, then exhausts residue tuples depth-first with a D-bit
-    elimination mask, pruning branches whose remaining classes cannot
-    cover the leftover residues.  Found coverings are filtered to minimal
-    ones; each is recorded with its canonical prime assignment.
+    d | D must exceed 2), then selects modulus tuples from the divisors of
+    D with density sum > 1, lcm exactly D, and an existing distinct-prime
+    assignment.  For each tuple:
+
+    * Translation quotient.  x -> x + r maps minimal coverings with these
+      moduli to minimal coverings, and every system is the shift of exactly
+      one system whose largest modulus d_top sits on class 0 (shift by its
+      top residue).  The search fixes that class and emits the d_top shifts
+      of each system it finds.
+    * Least-uncovered branching.  With x the least residue of Z/D not yet
+      covered, each unplaced modulus d tries the class x mod d; once that
+      branch returns, (d, x mod d) is barred in the later sibling branches,
+      so every system is reached along exactly one path.  A branch dies
+      when the uncovered residues outnumber what the unplaced classes can
+      clear, or when it covers with moduli still unplaced (the rest would
+      be redundant).
+    * Leaf minimality.  A covering leaf is kept iff each class is
+      essential, read off prefix/suffix ORs of the class masks.
+
+    Each system is recorded with the tuple's canonical prime assignment
+    and its progression, sorted by (moduli, residues).
     """
     if D > 2**20:
         raise ValueError(f"D={D} out of supported enumeration range")
@@ -364,47 +448,17 @@ def enumerate_cdl_systems(D: int, progress=None) -> EnumerationReport:
     total_rest = sum(D // d for d in divs)
     pick(0, [], 0, total_rest, 1)
 
-    full = (1 << D) - 1
-    found: list[CoveringSystem] = []
-    for mods in sorted(tuples):
-        masks_per_mod = [
-            [_class_mask(a, d, D) for a in range(d)] for d in mods
-        ]
-        counts_per_mod = [D // d for d in mods]
-        residues = [0] * len(mods)
-
-        def search(depth: int, remaining: int, budget: int):
-            # budget = max residues clearable by the classes not yet placed
-            if remaining == 0:
-                # early cover: deeper classes cannot be redundant-free
-                if depth == len(mods):
-                    found.append(
-                        CoveringSystem.from_pairs(
-                            (residues[i], mods[i]) for i in range(len(mods))
-                        )
-                    )
-                return
-            if depth == len(mods):
-                return
-            if remaining.bit_count() > budget:
-                return
-            next_budget = budget - counts_per_mod[depth]
-            for a in range(mods[depth]):
-                residues[depth] = a
-                search(depth + 1, remaining & ~masks_per_mod[depth][a], next_budget)
-
-        search(0, full, sum(counts_per_mod))
-        if progress is not None:
-            progress(mods, len(found))
-
-    minimal = [c for c in found if is_minimal(c)]
     systems = []
     progressions = []
-    for c in sorted(minimal, key=lambda c: (c.moduli, c.residues)):
-        asg = canonical_assignment(c.moduli)
+    for mods in sorted(tuples):
+        asg = canonical_assignment(mods)
         assert asg is not None  # subset was pre-screened for matchability
-        systems.append((c, asg))
-        progressions.append(cdl_progression_residue(c, asg))
+        for residues in _minimal_coverings(mods, D):
+            system = CoveringSystem(
+                tuple(CongruenceCondition(a, d) for a, d in zip(residues, mods)), D
+            )
+            systems.append((system, asg))
+            progressions.append(cdl_progression_residue(system, asg))
     return EnumerationReport(
         D=D,
         systems=tuple(systems),

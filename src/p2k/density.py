@@ -382,8 +382,16 @@ def cross_histogram(a: Cluster, b: Cluster, backend: str = "auto") -> DeltaHisto
 
 
 def brute_force_delta(M: int, backend: str = "auto") -> DeltaHistogram:
-    """Independent oracle: compute |f_M(m)| for every residue directly by
-    gcd tests and histogram the sizes.  Limited to M <= 10^7."""
+    """Independent oracle: compute |f_M(m)| = #{t in <2> : gcd(m - t, M) = 1}
+    for every residue m, over every pair (m, t), and histogram the sizes.
+    Limited to M <= 10^7.
+
+    gcd(m - t, M) depends only on (m - t) mod M, so the coprimality table
+    U[x] = [gcd(x, M) = 1] is built once, one gcd per x, and each pair
+    reads U[(m - t) mod M].  The numpy branch (M >= 4096 under "auto", any
+    M when forced) sums slices of U laid out twice into an int32
+    accumulator, exact because nu <= ord2(M) < ORACLE_LIMIT < 2^31.
+    """
     if M % 2 == 0 or M < 1:
         raise ValueError(f"M must be odd and positive, got {M}")
     if M > ORACLE_LIMIT:
@@ -393,21 +401,23 @@ def brute_force_delta(M: int, backend: str = "auto") -> DeltaHistogram:
     order = ord2(M)
     pows = [pow(2, k, M) for k in range(order)]
     counts: dict[int, int] = {}
-    if backend == "pure" or _np is None or M < 4096:
+    if _np is None or backend == "pure" or (backend != "numpy" and M < 4096):
+        coprime = [1 if math.gcd(x, M) == 1 else 0 for x in range(M)]
         for m in range(M):
             nu = 0
             for t in pows:
-                if math.gcd(m - t, M) == 1:
-                    nu += 1
+                nu += coprime[m - t]  # m - t > -M: a negative index wraps mod M
             counts[nu] = counts.get(nu, 0) + 1
     else:
+        coprime = (_np.gcd(_np.arange(M, dtype=_np.int64), M) == 1).astype(_np.uint8)
+        doubled = _np.concatenate([coprime, coprime])
         chunk = 1 << 20
         for lo in range(0, M, chunk):
             hi = min(lo + chunk, M)
-            m_vals = _np.arange(lo, hi, dtype=_np.int64)
-            nu = _np.zeros(hi - lo, dtype=_np.int64)
+            nu = _np.zeros(hi - lo, dtype=_np.int32)
             for t in pows:
-                nu += _np.gcd(m_vals - t, M) == 1
+                # (m - t) mod M = m - t + M for 0 <= t < M
+                nu += doubled[M - t + lo : M - t + hi]
             for v, c in zip(*_np.unique(nu, return_counts=True)):
                 counts[int(v)] = counts.get(int(v), 0) + int(c)
     return DeltaHistogram(M=M, counts=counts)

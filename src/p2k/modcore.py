@@ -136,15 +136,18 @@ def _certified_prime(n: int) -> bool:
 def factorize(n: int) -> list[tuple[int, int]]:
     """Factor n >= 1 into [(prime, exponent), ...] with primes ascending.
 
-    Deterministic: trial division (small primes first, then up to 10^7)
-    plus the primes of the 2^d - 1 table for the large cofactors this
-    project actually meets.  Raises ValueError when a cofactor cannot be
-    resolved within that range.
+    Deterministic: a certified prime above 10^5 (such as a prime of the
+    2^d - 1 table) returns at once; otherwise trial division (small primes
+    first, then up to 10^7) plus the primes of the 2^d - 1 table for the
+    large cofactors this project actually meets.  Raises ValueError when a
+    cofactor cannot be resolved within that range.
     """
     if n < 1:
         raise ValueError(f"factorize requires n >= 1, got {n}")
     if n == 1:
         return []
+    if n > _SMALL_PRIME_LIMIT and _certified_prime(n):
+        return [(n, 1)]
     factors: dict[int, int] = {}
 
     def strip(m: int, p: int) -> int:
@@ -253,6 +256,9 @@ def ord2(n: int) -> int:
     _check_odd_positive(n)
     if n == 1:
         return 1
+    table = _table_orders()
+    if n in table:  # a prime of the 2^d - 1 table
+        return table[n]
     result = 1
     for p, e in factorize(n):
         t = _ord2_prime(p)

@@ -104,13 +104,14 @@ def verify_excludes_primes(progression: CdlProgression) -> ExclusionCertificate:
     m = progression.modulus
     primes = progression.assignment.primes
     period = lcm_all(ord2(p) for p in primes)
+    # c + 2^k = a (mod M) iff 2^k hits (a - c) mod M: one set test per k
+    targets = {(a - c) % m for c in primes}
     witnesses = []
     power = 1
     for k in range(1, period + 1):
         power = power * 2 % m
-        for c in primes:
-            if (c + power) % m == a:
-                witnesses.append((c, k))
+        if power in targets:
+            witnesses.extend((c, k) for c in primes if (c + power) % m == a)
     return ExclusionCertificate(
         progression=progression,
         checked_primes=primes,

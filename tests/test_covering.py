@@ -9,6 +9,7 @@ from p2k.covering import (
     CoveringSystem,
     EnumerationReport,
     PrimeAssignment,
+    _class_mask,
     canonical_assignment,
     cdl_progression_residue,
     double_cover,
@@ -157,6 +158,70 @@ def test_enumeration_is_exhaustive_for_24(enumeration_24):
     reference = _reference_enumeration_24()
     ours = {(s.moduli, s.residues) for s, _ in enumeration_24.systems}
     assert ours == reference
+
+
+def _residue_order_enumeration(D: int) -> EnumerationReport:
+    """The full report by the plain search: modulus tuples by combinations,
+    residues tried in modulus order with the budget prune, minimality
+    filtered afterwards, one canonical assignment looked up per system."""
+    from p2k.modcore import divisors, lcm_all
+
+    divs = [d for d in divisors(D) if d >= 2]
+    tuples = [
+        mods
+        for r in range(1, len(divs) + 1)
+        for mods in itertools.combinations(divs, r)
+        if sum(D // d for d in mods) > D
+        and lcm_all(mods) == D
+        and canonical_assignment(mods) is not None
+    ]
+    full = (1 << D) - 1
+    found = []
+    for mods in tuples:
+        masks = [[_class_mask(a, d, D) for a in range(d)] for d in mods]
+        residues = [0] * len(mods)
+
+        def search(depth, remaining, budget):
+            if remaining == 0:
+                if depth == len(mods):
+                    found.append(CoveringSystem.from_pairs(zip(residues, mods)))
+                return
+            if depth == len(mods) or remaining.bit_count() > budget:
+                return
+            for a in range(mods[depth]):
+                residues[depth] = a
+                search(depth + 1, remaining & ~masks[depth][a], budget - D // mods[depth])
+
+        search(0, full, sum(D // d for d in mods))
+    minimal = sorted(
+        (c for c in found if is_minimal(c)), key=lambda c: (c.moduli, c.residues)
+    )
+    systems = tuple((c, canonical_assignment(c.moduli)) for c in minimal)
+    progressions = tuple(cdl_progression_residue(c, asg) for c, asg in systems)
+    return EnumerationReport(
+        D=D,
+        systems=systems,
+        progressions=progressions,
+        distinct_progression_count=len(set(progressions)),
+    )
+
+
+@pytest.mark.parametrize("D", [24, 36, 48, 80])
+def test_enumeration_equals_residue_order_search(D):
+    report = enumerate_cdl_systems(D)
+    assert report == _residue_order_enumeration(D)
+    keys = {(s.moduli, s.residues) for s, _ in report.systems}
+    assert len(keys) == len(report.systems)
+    for system, _ in report.systems:
+        assert is_minimal(system)
+        shifted = tuple((a + 1) % d for a, d in zip(system.residues, system.moduli))
+        assert (system.moduli, shifted) in keys  # closed under x -> x + 1
+
+
+def test_enumeration_counts_for_60_and_72():
+    for D, counts in ((60, (34560, 5760)), (72, (7488, 864))):
+        report = enumerate_cdl_systems(D)
+        assert (len(report.systems), report.distinct_progression_count) == counts
 
 
 def test_progression_residue_for_erdos():

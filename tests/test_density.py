@@ -254,6 +254,17 @@ def test_brute_force_backends_agree():
         brute_force_delta(23205).counts
 
 
+@pytest.mark.parametrize("M", [3, 15, 105, 1155])
+@pytest.mark.parametrize("backend", ["pure", "numpy"])
+def test_brute_force_equals_per_pair_gcd_loop(M, backend):
+    pows = [pow(2, k, M) for k in range(ord2(M))]
+    expected = {}
+    for m in range(M):
+        nu = sum(1 for t in pows if math.gcd(m - t, M) == 1)
+        expected[nu] = expected.get(nu, 0) + 1
+    assert brute_force_delta(M, backend=backend).counts == expected
+
+
 def test_brute_force_rejects_bad_m():
     with pytest.raises(ValueError):
         brute_force_delta(10)  # even

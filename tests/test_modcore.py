@@ -89,6 +89,17 @@ def test_factorize_large_table_products():
     assert factorize(n) == [(4278255361, 1), (581283643249112959, 1)]
 
 
+def test_factorize_certified_prime_returns_whole():
+    table_primes = sorted({p for items in MERSENNE_FACTORS.values() for p, _ in items})
+    largest = table_primes[-1]
+    assert factorize(largest) == [(largest, 1)]
+    # products of table primes above 10^5 still split
+    big = [p for p in table_primes if p > 10**5]
+    p, q = big[0], big[-1]
+    assert factorize(p * q) == [(p, 1), (q, 1)]
+    assert factorize(p * p) == [(p, 2)]
+
+
 def test_euler_phi():
     assert euler_phi(1) == 1
     assert euler_phi(3) == 2
@@ -178,11 +189,13 @@ def test_mersenne_table_is_consistent():
 
 
 def test_ord2_matches_table_orders():
-    # the least table exponent containing p is its order
-    for d in (11, 20, 29, 36):
-        for p in mersenne_prime_divisors(d):
-            assert d % ord2(p) == 0
-            assert pow(2, ord2(p), p) == 1
+    # the least table exponent containing p is its order; ord2 reads table
+    # primes straight off the table, so check that it is the least one
+    for d, items in MERSENNE_FACTORS.items():
+        for p, _ in items:
+            t = ord2(p)
+            assert d % t == 0 and pow(2, t, p) == 1
+            assert all(pow(2, t // q, p) != 1 for q, _ in factorize(t))
 
 
 def test_primes_up_to():

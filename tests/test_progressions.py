@@ -1,5 +1,6 @@
 import json
 import math
+import random
 
 import pytest
 
@@ -96,6 +97,25 @@ def test_constructed_failure_has_witnesses():
     assert not cert.verdict
     assert (3, 2) in cert.witnesses
     assert (5, 1) in cert.witnesses
+
+
+def test_witnesses_equal_direct_double_loop():
+    primes = ERDOS_ASSIGNMENT.primes
+    rng = random.Random(20241018)
+    residues = [7] + [
+        (rng.choice(primes) + pow(2, rng.randrange(1, 25), M48)) % M48
+        for _ in range(30)
+    ]
+    for a in residues:
+        cert = verify_excludes_primes(CdlProgression(a, M48, ERDOS_SYSTEM, ERDOS_ASSIGNMENT))
+        expected = tuple(
+            (c, k)
+            for k in range(1, cert.k_period + 1)
+            for c in primes
+            if (c + pow(2, k, M48)) % M48 == a
+        )
+        assert expected
+        assert cert.witnesses == expected
 
 
 def test_membership_fails_for_noncovering_source():
