@@ -12,8 +12,10 @@ met by some j; the powers of q in b and the factor 2^v2(b) only multiply the
 number of such j.
 
 Everything therefore lives on exponents mod T = lcm of the orders, and one
-search decides b: it picks one class per prime, branching on the least
-uncovered exponent (Knuth's Algorithm X).
+search decides b: modcore.class_cover_search picks one class per prime,
+branching on the least uncovered exponent (Knuth's Algorithm X).  Its
+position x stands for exponent x + 1, so position class c blocks the
+residue 2^(c+1) mod q.
 * Covered b: some j survives the first K shifts exactly when one class per
   order covers 1..K.  With L the longest such prefix (L < T), the sieve
   empties after shifts_used = L + 1 shifts.
@@ -38,7 +40,14 @@ import math
 import time
 from dataclasses import dataclass, field
 
-from .modcore import _ord2_prime, factorize, is_prime, ord2, primes_up_to
+from .modcore import (
+    _ord2_prime,
+    class_cover_search,
+    factorize,
+    is_prime,
+    ord2,
+    primes_up_to,
+)
 
 
 @dataclass(frozen=True)
@@ -75,81 +84,47 @@ class ScanReport:
     elapsed: float = 0.0
 
 
-def _cover_search(orders):
-    """Walk the choices of one exponent class per entry of orders, branching
-    on the least exponent in 1..T (T = lcm of orders) left uncovered.
-
-    Yields (prefix, classes, barred) at every node: 1..prefix is covered
-    (prefix = T once all of Z/T is), classes[i] is the class mod orders[i]
-    chosen for entry i or None, and barred[i] the classes entry i may not
-    take.  An entry tried on exponent x is barred from x in the later
-    branches, so the covering nodes split the covering choice vectors into
-    disjoint families: an entry left at None takes any class outside
-    barred[i], or none.  The lists are live; read them before resuming.
-    """
-    T = math.lcm(*orders)
-    full = (1 << T) - 1
-    # bits 0, o, 2o, ... below T; parsed from a bit string, which takes
-    # linear time where full // (2^o - 1) is quadratic in large T
-    periods = [int(("0" * (o - 1) + "1") * (T // o), 2) for o in orders]
-    classes = [None] * len(orders)
-    barred = [set() for _ in orders]
-
-    def walk(covered):
-        # bit e - 1 stands for exponent e; x is the least uncovered one
-        x = (~covered & (covered + 1)).bit_length()
-        yield x - 1, classes, barred
-        if x > T:
-            return
-        tried = []
-        for i, o in enumerate(orders):
-            c = x % o
-            if classes[i] is None and c not in barred[i]:
-                classes[i] = c
-                yield from walk(covered | ((periods[i] << (x - 1)) & full))
-                classes[i] = None
-                barred[i].add(c)
-                tried.append(i)
-        for i in tried:
-            barred[i].discard(x % orders[i])
-
-    return walk(0)
-
-
 def _longest_prefix(orders) -> int:
     """Largest L <= lcm(orders) such that one exponent class per entry
     covers 1..L; L = lcm(orders) exactly when the classes can cover Z."""
     T = math.lcm(*orders)
     best = 0
-    for prefix, _, _ in _cover_search(orders):
-        if prefix > best:
-            best = prefix
-            if best == T:
-                break
+
+    def visit(x, covered, room, classes, barred):
+        nonlocal best
+        best = max(best, x)
+        return best < T
+
+    class_cover_search(orders, T, visit)
     return best
 
 
 def _leftover(two: int, odd_factors, orders) -> tuple[int, ...]:
     """Odd residues mod two * prod(q^f) whose blocked classes cover Z, by
-    CRT over the covering families of _cover_search."""
+    CRT over the covering families of class_cover_search."""
     T = math.lcm(*orders)
     out: list[int] = []
-    for prefix, classes, barred in _cover_search(orders):
-        if prefix < T:
-            continue
+
+    def visit(x, covered, room, classes, barred):
+        if x < T:
+            return True
         residues, m = list(range(1, two, 2)), two
-        for (q, f), c, bar in zip(odd_factors, classes, barred):
+        for (q, f), o, c, bar in zip(odd_factors, orders, classes, barred):
+            # position class c stands for exponent class c + 1
             if c is None:
-                blocked = {pow(2, e, q) for e in bar}
+                blocked = {pow(2, e + 1, q) for e in range(o) if bar >> e & 1}
                 base = [r for r in range(q) if r not in blocked]
             else:
-                base = [pow(2, c, q)]
+                base = [pow(2, c + 1, q)]
             qf = q**f
             lifts = [r + q * t for r in base for t in range(qf // q)]
             inv = pow(m, -1, qf)
-            residues = [x + m * ((r - x) * inv % qf) for x in residues for r in lifts]
+            residues = [s + m * ((r - s) * inv % qf) for s in residues for r in lifts]
             m *= qf
-        out += residues
+        out.extend(residues)
+        return False
+
+    class_cover_search(orders, T, visit)
     return tuple(sorted(out))
 
 

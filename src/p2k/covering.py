@@ -9,10 +9,10 @@ with D-bit masks: a class clears the bits of an arithmetic progression, and a
 tuple of classes covers iff the mask empties.
 
 Enumeration searches one translation class per modulus tuple (the largest
-modulus fixed on class 0, the shifts emitted afterwards), branches on the
-least uncovered residue with each tried class barred from the later sibling
-branches, and checks minimality only at covering leaves; enumerate_cdl_systems
-gives the details.
+modulus fixed on class 0, the shifts emitted afterwards) with
+modcore.class_cover_search, whose positions are the residues of Z/D, and
+checks minimality only at covering leaves; enumerate_cdl_systems gives the
+details.
 """
 
 from __future__ import annotations
@@ -25,11 +25,10 @@ from dataclasses import dataclass
 
 from .modcore import (
     CongruenceCondition,
-    crt_solve,
+    class_cover_search,
     divisors,
     lcm_all,
     mersenne_prime_divisors,
-    pow2_mod,
 )
 
 
@@ -52,10 +51,12 @@ class CoveringSystem:
     @classmethod
     def from_pairs(cls, pairs) -> "CoveringSystem":
         """Build from (residue, modulus) pairs in any order."""
-        conds = sorted(
-            (CongruenceCondition(a % d, d) for a, d in pairs),
-            key=lambda c: c.modulus,
-        )
+        conds = []
+        for a, d in pairs:
+            if d < 1:  # checked before a % d, which fails on d = 0
+                raise ValueError(f"modulus must be >= 1, got {d}")
+            conds.append(CongruenceCondition(a % d, d))
+        conds.sort(key=lambda c: c.modulus)
         return cls(tuple(conds), lcm_all(c.modulus for c in conds))
 
     @property
@@ -191,6 +192,20 @@ def is_covering(c: CoveringSystem) -> bool:
     return remaining == 0
 
 
+def _each_essential(masks, full: int) -> bool:
+    """True iff every mask is essential: the union of the others misses
+    part of full.  Read off prefix/suffix ORs."""
+    prefix = [0]
+    for m in masks:
+        prefix.append(prefix[-1] | m)
+    suffix = 0
+    for i in range(len(masks) - 1, -1, -1):
+        if prefix[i] | suffix == full:
+            return False
+        suffix |= masks[i]
+    return True
+
+
 def is_minimal(c: CoveringSystem) -> bool:
     """True iff c covers and removing any single class breaks covering.
 
@@ -202,17 +217,7 @@ def is_minimal(c: CoveringSystem) -> bool:
     union = 0
     for m in masks:
         union |= m
-    if union != full:
-        return False
-    # class i is essential iff the union of the others misses something
-    n = len(masks)
-    prefix = [0] * (n + 1)
-    for i in range(n):
-        prefix[i + 1] = prefix[i] | masks[i]
-    suffix = [0] * (n + 1)
-    for i in range(n - 1, -1, -1):
-        suffix[i] = suffix[i + 1] | masks[i]
-    return all(prefix[i] | suffix[i + 1] != full for i in range(n))
+    return union == full and _each_essential(masks, full)
 
 
 def _assignment_exists(candidates: list[list[int]]) -> bool:
@@ -311,11 +316,13 @@ def cdl_progression_residue(system: CoveringSystem, assignment: PrimeAssignment)
             f"assignment moduli {assignment.moduli} do not match "
             f"system moduli {system.moduli}"
         )
-    conds = [CongruenceCondition(1, 2)]
+    x, m = 1, 2  # lifted by one prime at a time
     for cond, (_, p) in zip(system.classes, assignment.pairs):
-        conds.append(CongruenceCondition(pow2_mod(cond.residue, p), p))
-    combined = crt_solve(conds)
-    return combined.residue, combined.modulus
+        if math.gcd(m, p) != 1:
+            raise ValueError(f"assigned prime {p} shares a factor with {m}")
+        x += m * ((pow(2, cond.residue, p) - x) * pow(m, -1, p) % p)
+        m *= p
+    return x, m
 
 
 def _divisor_harmonic_exceeds_two(D: int) -> bool:
@@ -330,59 +337,26 @@ def _minimal_coverings(mods: tuple[int, ...], D: int) -> list[tuple[int, ...]]:
     The search runs with the largest modulus on class 0 only and returns
     the shifts of what it finds (see enumerate_cdl_systems).
     """
-    n = len(mods)
-    top = n - 1
-    masks = [[_class_mask(a, d, D) for a in range(d)] for d in mods]
-    counts = [D // d for d in mods]
+    *rest, top = mods
     full = (1 << D) - 1
-    residues = [0] * n
-    placed = [False] * n  # the top modulus stays on class 0, outside the search
-    barred = [0] * n  # bit c of barred[i]: class c (mod mods[i]) is barred
+    top_mask = _class_mask(0, top, D)
     found: list[tuple[int, ...]] = []
 
-    def is_minimal_leaf() -> bool:
-        chosen = [masks[i][residues[i]] for i in range(n)]
-        prefix = [0] * (n + 1)
-        for i in range(n):
-            prefix[i + 1] = prefix[i] | chosen[i]
-        suffix = 0
-        for i in range(n - 1, -1, -1):
-            if prefix[i] | suffix == full:
-                return False
-            suffix |= chosen[i]
-        return True
+    def visit(x, covered, room, classes, barred):
+        if x < D:  # can the unplaced classes clear what is uncovered?
+            return (full ^ covered).bit_count() <= room
+        # covered with moduli unplaced: any extension is redundant
+        if None not in classes:
+            masks = [_class_mask(a, d, D) for a, d in zip(classes, rest)]
+            if _each_essential(masks + [top_mask], full):
+                found.append((*classes, 0))
+        return False
 
-    def search(uncovered: int, unplaced: int, budget: int):
-        # budget = residues the unplaced classes can clear at most
-        if uncovered == 0:
-            # covered with moduli unplaced: any extension is redundant
-            if unplaced == 0 and is_minimal_leaf():
-                found.append(tuple(residues))
-            return
-        if unplaced == 0 or uncovered.bit_count() > budget:
-            return
-        x = (uncovered & -uncovered).bit_length() - 1
-        tried = []
-        for i in range(top):
-            if placed[i]:
-                continue
-            c = x % mods[i]
-            if barred[i] >> c & 1:
-                continue
-            placed[i] = True
-            residues[i] = c
-            search(uncovered & ~masks[i][c], unplaced - 1, budget - counts[i])
-            placed[i] = False
-            barred[i] |= 1 << c
-            tried.append(i)
-        for i in tried:
-            barred[i] &= ~(1 << (x % mods[i]))
-
-    search(full & ~masks[top][0], n - 1, sum(counts[:top]))
+    class_cover_search(rest, D, visit, top_mask)
     return sorted(
         tuple((a + r) % d for a, d in zip(res, mods))
         for res in found
-        for r in range(mods[top])
+        for r in range(top)
     )
 
 
@@ -399,15 +373,15 @@ def enumerate_cdl_systems(D: int) -> EnumerationReport:
       one system whose largest modulus d_top sits on class 0 (shift by its
       top residue).  The search fixes that class and emits the d_top shifts
       of each system it finds.
-    * Least-uncovered branching.  With x the least residue of Z/D not yet
-      covered, each unplaced modulus d tries the class x mod d; once that
-      branch returns, (d, x mod d) is barred in the later sibling branches,
-      so every system is reached along exactly one path.  A branch dies
-      when the uncovered residues outnumber what the unplaced classes can
-      clear, or when it covers with moduli still unplaced (the rest would
-      be redundant).
+    * Least-uncovered branching (modcore.class_cover_search).  With x the
+      least residue of Z/D not yet covered, each unplaced modulus d tries
+      the class x mod d; once that branch returns, (d, x mod d) is barred in
+      the later sibling branches, so every system is reached along exactly
+      one path.  A branch dies when the uncovered residues outnumber what
+      the unplaced classes can clear, or when it covers with moduli still
+      unplaced (the rest would be redundant).
     * Leaf minimality.  A covering leaf is kept iff each class is
-      essential, read off prefix/suffix ORs of the class masks.
+      essential (_each_essential, shared with is_minimal).
 
     Each system is recorded with the tuple's canonical prime assignment
     and its progression, sorted by (moduli, residues).

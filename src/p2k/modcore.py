@@ -1,8 +1,11 @@
 """Elementary modular arithmetic shared by every other module.
 
 Covers multiplicative orders of 2, exact CRT over big integers, deterministic
-factorization in the supported range, Euler phi, and the prime divisors of
-2^d - 1 (backed by the compiled-in table in mersenne_table).
+factorization in the supported range, Euler phi, the prime divisors of
+2^d - 1 (backed by the compiled-in table in mersenne_table), and
+class_cover_search, the one search for one class (or none) per modulus
+covering Z/T that both the CDL enumeration (covering) and the Chen scan
+(chenscan) run.
 """
 
 from __future__ import annotations
@@ -313,3 +316,44 @@ def primitive_mersenne_divisors(d: int) -> list[int]:
 
 def lcm_all(values) -> int:
     return reduce(math.lcm, values, 1)
+
+
+def class_cover_search(moduli, T: int, visit, covered: int = 0) -> None:
+    """Walk the choices of one class (or none) per entry of moduli over Z/T,
+    branching on the least uncovered position (Knuth's Algorithm X).
+
+    Each modulus divides T; repeats are allowed.  Position p is bit p of the
+    mask covered (the walk starts from the given mask).  Each node calls
+    visit(x, covered, room, classes, barred): x is the least uncovered
+    position (T once Z/T is covered), room the sum of T // moduli[i] over
+    the unplaced entries, classes[i] the class of entry i or None, and bit c
+    of barred[i] bars class c from entry i; the lists are live.  Only when
+    visit returns True and x < T does each unplaced entry i try the class
+    x mod moduli[i], barred in the later sibling branches once its branch
+    returns.  So every choice vector is reached along one path, and the
+    covering nodes (x = T) are disjoint families of choice vectors: an
+    entry left at None takes any class outside barred[i], or none.
+    """
+    # bits 0, d, 2d, ... below T; parsed from a bit string, which takes
+    # linear time where (2^T - 1) // (2^d - 1) is quadratic in large T
+    periods = [int(("0" * (d - 1) + "1") * (T // d), 2) for d in moduli]
+    entries = [(i, d, periods[i], T // d) for i, d in enumerate(moduli)]
+    classes: list[int | None] = [None] * len(moduli)
+    barred = [0] * len(moduli)
+
+    def walk(covered: int, room: int) -> None:
+        x = (~covered & (covered + 1)).bit_length() - 1
+        if not visit(x, covered, room, classes, barred) or x == T:
+            return
+        entry_barred = barred[:]
+        for i, d, period, size in entries:
+            if classes[i] is None:
+                c = x % d
+                if not barred[i] >> c & 1:
+                    classes[i] = c
+                    walk(covered | period << c, room - size)
+                    classes[i] = None
+                    barred[i] |= 1 << c
+        barred[:] = entry_barred
+
+    walk(covered, sum(T // d for d in moduli))

@@ -1,5 +1,7 @@
 import json
 
+import pytest
+
 from conftest import RESIDUES_48
 from p2k.cli import dispatch
 from p2k.covering import EnumerationReport
@@ -102,6 +104,30 @@ def test_progression_census_explicit_residues(capsys):
     )
     assert code == 0
     assert json.loads(out) == {"progressions": 2, "pairs": 1, "gcd_2": 1}
+
+
+@pytest.mark.parametrize("modulus", ["0", "-6"])
+def test_progression_census_rejects_bad_modulus(capsys, modulus):
+    code, out, err = run_cli(
+        capsys, "progression", "census", "--residues", "1,3", "--modulus", modulus,
+    )
+    assert code == 1
+    assert out == ""
+    assert err.startswith("error:")
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ("cover", "verify", "--classes", "0:0"),
+        ("progression", "derive", "--classes", "1:2,0:0"),
+    ],
+)
+def test_zero_modulus_is_domain_error(capsys, argv):
+    code, out, err = run_cli(capsys, *argv)
+    assert code == 1
+    assert out == ""
+    assert err.startswith("error:") and "modulus must be >= 1" in err
 
 
 def test_chen_check_json(capsys):

@@ -25,6 +25,12 @@ def test_type_rejects_repeated_moduli():
         CoveringSystem.from_pairs([(0, 2), (1, 2), (0, 3)])
 
 
+def test_from_pairs_rejects_nonpositive_modulus():
+    for bad in ([(0, 0)], [(1, 2), (0, 0)], [(1, -3)]):
+        with pytest.raises(ValueError, match="modulus must be >= 1"):
+            CoveringSystem.from_pairs(bad)
+
+
 def test_type_rejects_wrong_lcm():
     with pytest.raises(ValueError):
         CoveringSystem((), 5)

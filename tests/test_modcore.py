@@ -1,4 +1,6 @@
+import itertools
 import math
+import random
 
 import pytest
 from hypothesis import given, settings
@@ -7,6 +9,7 @@ from hypothesis import strategies as st
 from p2k.mersenne_table import MAX_TABLE_D, MERSENNE_FACTORS
 from p2k.modcore import (
     CongruenceCondition,
+    class_cover_search,
     crt_solve,
     divisors,
     euler_phi,
@@ -206,3 +209,62 @@ def test_primes_up_to():
 def test_is_prime():
     assert is_prime(2) and is_prime(241) and is_prime(2305843009213693951)
     assert not is_prime(1) and not is_prime(561) and not is_prime(2**24 - 1)
+
+
+def _kernel_cases():
+    """Seeded moduli lists with repeats, T = lcm <= 24, random start masks,
+    small enough to enumerate every choice vector."""
+    rng = random.Random(2024)
+    cases = []
+    while len(cases) < 150:
+        divs = divisors(rng.randint(1, 24))
+        moduli = [rng.choice(divs) for _ in range(rng.randint(1, 5))]
+        if math.prod(d + 1 for d in moduli) > 3000:
+            continue
+        T = math.lcm(*moduli)
+        start = rng.getrandbits(T) & rng.getrandbits(T)
+        cases.append((moduli, T, start))
+    return cases
+
+
+def test_class_cover_search_equals_brute_force():
+    for moduli, T, start in _kernel_cases():
+        _check_class_cover_search(moduli, T, start)
+
+
+def _check_class_cover_search(moduli, T, start):
+    full = (1 << T) - 1
+
+    def cover(vector):
+        covered = start
+        for c, d in zip(vector, moduli):
+            if c is not None:
+                covered |= sum(1 << x for x in range(c, T, d))
+        return covered
+
+    vectors = list(itertools.product(*[[None, *range(d)] for d in moduli]))
+    covering = {v for v in vectors if cover(v) == full}
+    # the longest covered prefix from position 0 over every vector
+    longest = max((~m & (m + 1)).bit_length() - 1 for m in map(cover, vectors))
+
+    families = []
+    largest = [-1]
+
+    def visit(x, covered, room, classes, barred):
+        largest[0] = max(largest[0], x)
+        assert covered == cover(classes)
+        assert room == sum(T // d for c, d in zip(classes, moduli) if c is None)
+        if x == T:
+            choices = [
+                [c] if c is not None
+                else [None, *(e for e in range(d) if not bar >> e & 1)]
+                for c, d, bar in zip(classes, moduli, barred)
+            ]
+            families.append(set(itertools.product(*choices)))
+        return True
+
+    class_cover_search(moduli, T, visit, start)
+    union = set().union(*families)
+    assert sum(map(len, families)) == len(union)  # pairwise disjoint
+    assert union == covering
+    assert largest[0] == longest

@@ -50,6 +50,14 @@ def test_derive_rejects_mismatched_assignment():
         derive_progression(ERDOS_SYSTEM, wrong)
 
 
+def test_derive_rejects_shared_factor():
+    # 15 divides 2^4 - 1 but shares the factor 3 with the prime for 2
+    system = CoveringSystem.from_pairs([(0, 2), (1, 4)])
+    asg = PrimeAssignment.from_pairs([(2, 3), (4, 15)])
+    with pytest.raises(ValueError, match="15 shares a factor with 6"):
+        derive_progression(system, asg)
+
+
 def test_progression_type_invariants():
     with pytest.raises(ValueError):
         CdlProgression(2, 10, ERDOS_SYSTEM, ERDOS_ASSIGNMENT)  # even residue
@@ -221,3 +229,9 @@ def test_census_of_the_published_example_pair():
 def test_census_rejects_mixed_moduli():
     with pytest.raises(ValueError):
         pair_gcd_census([(1, 10), (3, 14)])
+
+
+@pytest.mark.parametrize("modulus", [0, -6, 1, 9])
+def test_census_rejects_modulus_that_is_not_even_and_positive(modulus):
+    with pytest.raises(ValueError, match="even and >= 2"):
+        pair_gcd_census([(1, modulus), (3, modulus)])
