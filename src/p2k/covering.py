@@ -27,6 +27,7 @@ from .modcore import (
     CongruenceCondition,
     class_cover_search,
     divisors,
+    is_prime,
     lcm_all,
     mersenne_prime_divisors,
 )
@@ -79,6 +80,11 @@ class PrimeAssignment:
         if len(set(primes)) != len(primes):
             raise ValueError(f"assigned primes must be distinct, got {primes}")
         for d, p in self.pairs:
+            # checked before (2^d - 1) % p, which fails on p = 0 and passes p = 1
+            if d < 1:
+                raise ValueError(f"modulus must be >= 1, got {d}")
+            if p % 2 == 0 or not is_prime(p):
+                raise ValueError(f"{p} is not an odd prime")
             if (2**d - 1) % p != 0:
                 raise ValueError(f"{p} does not divide 2^{d} - 1")
 

@@ -22,20 +22,40 @@ multiplying and equal rows merging.  Value sets are bit rows (Python ints),
 multiplicities are exact integers, and a brute-force f_M oracle
 cross-checks the whole pipeline at small scales.
 
+Clusters are stored by rotation orbit.  Since f_M(2m) = f_M(m) + 1, rotating
+a row by one exponent gives a row of the same cluster with the same
+multiplicity, so every cluster is a union of whole rotation orbits and keeps
+one entry per orbit: its least rotation (the smallest int among its
+rotations) and the multiplicity of each member row.  The period p of an
+orbit (its number of members) divides the order; lifting to a larger ring
+keeps both the least rotation and the period.  For orbits of periods p_a and
+p_b, the p_a * p_b member pairs fall into gcd(p_a, p_b) joint orbits of
+lcm(p_a, p_b) pairs, one per pair (a, rot^s b) with s < gcd(p_a, p_b).  The
+pairs of a joint orbit cover the p_c rotations of c = a & rot^s b evenly, so
+with multiplicities w_a and w_b, merge adds w_a * w_b * lcm(p_a, p_b) / p_c
+to each member of c's orbit, and the pure cross adds
+w_a * w_b * lcm(p_a, p_b) at nu = popcount(c).
+
 The two halves of a split are crossed without building the merged cluster.
 Over g = gcd of the two orders, a row reduces to its profile (set bits per
-residue mod g), and a pair of rows intersects in the dot product of their
-profiles.  Since f_M(2m) = f_M(m) + 1, every cluster is closed under
-rotation by one exponent with equal multiplicities, so its profile -> weight
-map is invariant under a shift by one position mod g.  With
-dot(rot^s r, p) = dot(r, rot^-s p), every profile in a rotation orbit meets
-the same nu-histogram against such a side, and the numpy backend iterates
-one representative per orbit of the smaller side, weighted by the orbit's
-summed multiplicity.  It runs only inside its exactness windows: profile
-counts (at most order/g) below 2^16 for uint16, dot products (at most the
-lcm of the orders) below 2^24 for float32, and multiplicity totals below
-2^52 for float64 sums.  Outside them "auto" takes the pure path, which is
-also the oracle the numpy backend is tested against.
+residue mod g), a pair of rows intersects in the dot product of their
+profiles (x -> (x mod L_a, x mod L_b) is a bijection onto the pairs that
+agree mod g), and rotating a row rotates its profile mod g.  The numpy
+backend takes the profiles of the orbit representatives only and groups them
+by least profile rotation: a profile orbit of period q carries
+W = sum p * w over the row orbits in it, W / q on each member (exact, since q
+divides every such p).  The other side's profile -> weight map is
+rotation-invariant, and dot(rot^s r, p) = dot(r, rot^-s p), so every member
+of a profile orbit meets the same nu-histogram against it: one side's orbit
+profiles, weighted W, are multiplied against every member profile of the
+other side, weighted W / q.  Exactness windows, checked before it runs:
+profile counts are at most max order / g and are summed in uint16 (< 2^16);
+dot products are at most lcm(orders) and are formed in float32 from
+nonnegative integer terms, so every partial sum is an exact integer
+(< 2^24); the weights one orbit profile meets are summed in float64 and
+total at most the other side's modulus part (< 2^52).  Outside them "auto"
+takes the pure path, which is also the oracle the numpy backend is tested
+against.
 """
 
 from __future__ import annotations
@@ -44,9 +64,9 @@ import json
 import math
 from dataclasses import dataclass
 from fractions import Fraction
-from functools import reduce
+from functools import cached_property, reduce
 
-from .modcore import euler_phi, factorize, is_prime, lcm_all, ord2
+from .modcore import divisors, euler_phi, factorize, is_prime, lcm_all, ord2
 
 try:
     import numpy as _np
@@ -55,63 +75,143 @@ except ImportError:  # pragma: no cover - numpy is a declared dependency
 
 ORACLE_LIMIT = 10**7
 
-# exactness windows of the numpy cross backend (see _cross_histogram_numpy)
+# exactness windows of the numpy cross backend (see the module docstring)
 _F64_EXACT_LIMIT = 1 << 52
 _U16_EXACT_LIMIT = 1 << 16
 _F32_EXACT_LIMIT = 1 << 24
 
 
+def _period(mask: int, order: int, candidates) -> int:
+    """Least p > 0 with rot^p(mask) = mask, for a row of Z/order;
+    `candidates` lists, ascending, divisors of order that include it."""
+    full = (1 << order) - 1
+    doubled = mask | (mask << order)
+    return next(d for d in candidates if (doubled >> d) & full == mask)
+
+
+def _canonical(mask: int, order: int, candidates) -> tuple[int, int]:
+    """(least rotation, period) of a row of Z/order; `candidates` as for
+    _period.
+
+    Rotation i (bit j of it is bit i + j of the row) reads the row's bits
+    i - 1, i - 2, ... from its top bit down, so the least rotation starts
+    just above a longest run of zeros: only those starts are compared.
+    """
+    period = _period(mask, order, candidates)
+    full = (1 << order) - 1
+    doubled = mask | (mask << order)
+    window = (1 << period) - 1
+    # after t rounds, bit k of runs says bits k, k - 1, ..., k - t of
+    # `doubled` are all zero; the rounds stop at the longest such runs, and
+    # a run topped at bit j of the row is read first by rotation j + 1
+    runs = (full ^ mask) | ((full ^ mask) << order)
+    while (longer := runs & (runs << 1)) >> order & window:
+        runs = longer
+    ends = runs >> order & window
+    least = mask
+    while ends:
+        low = ends & -ends
+        least = min(least, (doubled >> low.bit_length()) & full)
+        ends ^= low
+    return least, period
+
+
 @dataclass(frozen=True)
 class Cluster:
-    """Deduplicated multiset of f-value bit rows for one odd modulus part.
+    """Deduplicated multiset of f-value bit rows for one odd modulus part,
+    stored one entry per rotation orbit.
 
-    rows maps a bit row (subset of Z/order as an int mask) to its exact
-    multiplicity; multiplicities sum to modulus_part.  order is ord_2 of
+    A row is a subset of Z/order as an int mask; rotating it by one
+    exponent gives a row with the same multiplicity.  orbits maps each
+    orbit's least rotation to the exact multiplicity of every member row,
+    and rows expands them into the full row -> multiplicity map.  Periods
+    times multiplicities sum to modulus_part.  order is ord_2 of
     modulus_part, except in augmented intermediates where it is a multiple.
     Treated as immutable once built.
     """
 
     modulus_part: int
     order: int
-    rows: dict[int, int]
+    orbits: dict[int, int]
+
+    @classmethod
+    def from_rows(cls, modulus_part: int, order: int, rows: dict[int, int]) -> "Cluster":
+        """The cluster of a full row -> multiplicity map; ValueError unless
+        the map is a union of whole rotation orbits, each with one
+        multiplicity."""
+        candidates = divisors(order)
+        orbits: dict[int, int] = {}
+        members: dict[int, int] = {}
+        periods: dict[int, int] = {}
+        for mask, mult in rows.items():
+            if not 0 <= mask < 1 << order:
+                raise ValueError("row outside the ambient exponent ring")
+            least, periods[least] = _canonical(mask, order, candidates)
+            if orbits.setdefault(least, mult) != mult:
+                raise ValueError(f"rotations of row {least:#x} differ in multiplicity")
+            members[least] = members.get(least, 0) + 1
+        for least, count in members.items():
+            if count != periods[least]:
+                raise ValueError(f"rotation orbit of row {least:#x} is incomplete")
+        return cls(modulus_part, order, orbits)
+
+    @cached_property
+    def periods(self) -> dict[int, int]:
+        """Orbit size of each stored row."""
+        candidates = divisors(self.order)
+        return {mask: _period(mask, self.order, candidates) for mask in self.orbits}
+
+    @cached_property
+    def rows(self) -> dict[int, int]:
+        """Every member row of every orbit, with its multiplicity."""
+        full = (1 << self.order) - 1
+        rows: dict[int, int] = {}
+        for mask, mult in self.orbits.items():
+            doubled = mask | (mask << self.order)
+            for i in range(self.periods[mask]):
+                rows[(doubled >> i) & full] = mult
+        return rows
 
     def validate(self) -> None:
         if self.modulus_part % 2 == 0:
             raise ValueError("modulus part must be odd")
         if self.order % ord2(self.modulus_part) != 0:
             raise ValueError("order must be a multiple of ord2(modulus part)")
-        total = sum(self.rows.values())
-        if total != self.modulus_part:
-            raise ValueError(
-                f"multiplicities sum to {total}, expected {self.modulus_part}"
-            )
         full = (1 << self.order) - 1
-        for mask, mult in self.rows.items():
+        candidates = divisors(self.order)
+        total = 0
+        for mask, mult in self.orbits.items():
             if mask < 0 or mask > full:
                 raise ValueError("row outside the ambient exponent ring")
             if mult < 0:
                 raise ValueError("negative multiplicity")
+            least, period = _canonical(mask, self.order, candidates)
+            if least != mask:
+                raise ValueError(
+                    f"row {mask:#x} is not the least rotation of its orbit ({least:#x})"
+                )
+            total += period * mult
+        if total != self.modulus_part:
+            raise ValueError(
+                f"multiplicities sum to {total}, expected {self.modulus_part}"
+            )
 
     def row_count(self) -> int:
-        return len(self.rows)
+        return sum(self.periods.values())
 
 
-TRIVIAL_CLUSTER = Cluster(modulus_part=1, order=1, rows={1: 1})
+TRIVIAL_CLUSTER = Cluster(modulus_part=1, order=1, orbits={1: 1})
 
 
 def prime_cluster(p: int) -> Cluster:
     """The value distribution of f_p for an odd prime p: the full row with
-    multiplicity p - ord_2(p), plus each co-singleton with multiplicity 1."""
+    multiplicity p - ord_2(p), plus each co-singleton with multiplicity 1
+    (one orbit, whose least rotation lacks the top exponent)."""
     if p % 2 == 0 or not is_prime(p):
         raise ValueError(f"{p} is not an odd prime")
     order = ord2(p)
     full = (1 << order) - 1
-    rows: dict[int, int] = {}
-    if p - order > 0:
-        rows[full] = p - order
-    for j in range(order):
-        rows[full ^ (1 << j)] = 1
-    return Cluster(modulus_part=p, order=order, rows=rows)
+    return Cluster(modulus_part=p, order=order, orbits={full: p - order, full >> 1: 1})
 
 
 def _lift_mask(mask: int, order: int, target: int) -> int:
@@ -128,41 +228,65 @@ def _lift_mask(mask: int, order: int, target: int) -> int:
 
 def augment(cluster: Cluster, target_order: int) -> Cluster:
     """Lift every row to the larger exponent ring Z/target_order; bit a
-    becomes bits a + k*order for k = 0 .. target_order/order - 1."""
+    becomes bits a + k*order for k = 0 .. target_order/order - 1.  The lift
+    commutes with rotation and keeps the order of ints, so each orbit's
+    least rotation lifts to the least rotation of its lifted orbit."""
     if target_order % cluster.order != 0:
         raise ValueError(
             f"target order {target_order} not a multiple of {cluster.order}"
         )
     if target_order == cluster.order:
         return cluster
-    rows = {
+    orbits = {
         _lift_mask(mask, cluster.order, target_order): mult
-        for mask, mult in cluster.rows.items()
+        for mask, mult in cluster.orbits.items()
     }
-    return Cluster(cluster.modulus_part, target_order, rows)
+    return Cluster(cluster.modulus_part, target_order, orbits)
 
 
-def merge(a: Cluster, b: Cluster) -> Cluster:
-    """Cluster of the product modulus: rows are pairwise intersections of
-    the lifted rows, multiplicities multiply, equal rows merge."""
+def _check_coprime(a: Cluster, b: Cluster) -> None:
     if math.gcd(a.modulus_part, b.modulus_part) != 1:
         raise ValueError(
             f"modulus parts {a.modulus_part}, {b.modulus_part} are not coprime"
         )
+
+
+def _joint_orbits(a: Cluster, b: Cluster, order: int):
+    """Yield (c, w) for each joint rotation orbit of a pair of rows lifted
+    to Z/order: c = a & rot^s b for s < gcd(p_a, p_b), and w the summed
+    multiplicity w_a * w_b * lcm(p_a, p_b) of the orbit's pairs.  Lifting
+    keeps each orbit's period."""
+    items_b = []
+    for mask, mult in b.orbits.items():
+        lifted = _lift_mask(mask, b.order, order)
+        items_b.append((lifted | (lifted << order), b.periods[mask], mult))
+    for mask, mult_a in a.orbits.items():
+        lifted = _lift_mask(mask, a.order, order)
+        p_a = a.periods[mask]
+        for doubled_b, p_b, mult_b in items_b:
+            shifts = math.gcd(p_a, p_b)
+            w = mult_a * mult_b * (p_a // shifts * p_b)
+            for s in range(shifts):
+                yield lifted & (doubled_b >> s), w
+
+
+def merge(a: Cluster, b: Cluster) -> Cluster:
+    """Cluster of the product modulus: rows are pairwise intersections of
+    the lifted rows, multiplicities multiply, equal rows merge.  Each joint
+    orbit adds w / p_c to the orbit of its intersection c; equal
+    intersections are summed before the one division, exact because p_c
+    divides every lcm(p_a, p_b) it is summed over."""
+    _check_coprime(a, b)
     order = math.lcm(a.order, b.order)
-    lifted_a = augment(a, order)
-    lifted_b = augment(b, order)
-    rows: dict[int, int] = {}
-    items_b = list(lifted_b.rows.items())
-    for mask_a, mult_a in lifted_a.rows.items():
-        for mask_b, mult_b in items_b:
-            key = mask_a & mask_b
-            w = mult_a * mult_b
-            if key in rows:
-                rows[key] += w
-            else:
-                rows[key] = w
-    return Cluster(a.modulus_part * b.modulus_part, order, rows)
+    found: dict[int, int] = {}
+    for key, w in _joint_orbits(a, b, order):
+        found[key] = found.get(key, 0) + w
+    candidates = divisors(order)
+    orbits: dict[int, int] = {}
+    for key, w in found.items():
+        least, period = _canonical(key, order, candidates)
+        orbits[least] = orbits.get(least, 0) + w // period
+    return Cluster(a.modulus_part * b.modulus_part, order, orbits)
 
 
 @dataclass(frozen=True)
@@ -192,9 +316,9 @@ class DeltaHistogram:
 
 def histogram_of(cluster: Cluster) -> DeltaHistogram:
     counts: dict[int, int] = {}
-    for mask, mult in cluster.rows.items():
+    for mask, mult in cluster.orbits.items():
         nu = mask.bit_count()
-        counts[nu] = counts.get(nu, 0) + mult
+        counts[nu] = counts.get(nu, 0) + cluster.periods[mask] * mult
     return DeltaHistogram(M=cluster.modulus_part, counts=counts)
 
 
@@ -203,123 +327,84 @@ def _masks_to_matrix(masks: list[int], words: int):
     return _np.frombuffer(buf, dtype="<u8").reshape(len(masks), words)
 
 
-def _profiles(cluster: Cluster, g: int) -> dict[bytes, int]:
-    """Deduplicated residue-count profiles of the rows over Z/g.
+def _profile_orbits(cluster: Cluster, g: int):
+    """The Z/g profiles of the orbit representatives, grouped by least
+    profile rotation: (least profiles as rows of a uint16 matrix, their
+    periods q, their weights W = sum of p * w over the row orbits whose
+    profiles lie in the profile orbit, in float64).
 
-    profile[r] counts the set bits of a row at positions = r (mod g), stored
-    as the bytes of g uint16 counts (each at most order/g, which the caller
-    has checked is below 2^16).  For any two clusters, the intersection size
-    of a pair of lifted rows equals the dot product of their profiles over
-    g = gcd of the orders (the map x -> (x mod L_a, x mod L_b) is a bijection
-    onto the pairs agreeing mod g), so the cross histogram only needs
-    profiles; rows sharing a profile merge here, weights summing exactly.
+    profile[r] counts the set bits of a row at positions = r (mod g), each
+    at most order/g, which the caller has checked is below 2^16.  A row of
+    period p has a profile whose period q divides gcd(p, g), so the row
+    orbit puts weight p * w / q on each of the q profile rotations.  The
+    weights are integers below 2^52 (the caller's window), so their float64
+    sums are exact.  Profiles are compared as big-endian bytes, whose order
+    is the lexicographic order of the counts.
     """
     order = cluster.order
-    reps = order // g
+    reps = list(cluster.orbits)
+    weights = _np.array(
+        [cluster.periods[m] * w for m, w in cluster.orbits.items()], dtype=_np.float64
+    )
     words = (order + 63) // 64
-    masks = list(cluster.rows.keys())
-    grouped: dict[bytes, int] = {}
+    width = f"S{2 * g}"
+    least = _np.empty((len(reps), g), dtype=_np.uint16)
+    periods = _np.empty(len(reps), dtype=_np.int64)
     chunk = max(1, (1 << 24) // max(order, 1))
-    for lo in range(0, len(masks), chunk):
-        sub = masks[lo : lo + chunk]
+    for lo in range(0, len(reps), chunk):
+        sub = reps[lo : lo + chunk]
         mat = _masks_to_matrix(sub, words)
         bits = _np.unpackbits(
             mat.view(_np.uint8), axis=1, bitorder="little"
         )[:, :order]
-        prof = bits.reshape(len(sub), reps, g).sum(axis=1, dtype=_np.uint16)
-        for i, mask in enumerate(sub):
-            key = prof[i].tobytes()
-            w = cluster.rows[mask]
-            if key in grouped:
-                grouped[key] += w
-            else:
-                grouped[key] = w
-    return grouped
-
-
-def _profile_matrix(keys: list[bytes], g: int):
-    # uint16 counts are exact in float32
-    return (
-        _np.frombuffer(b"".join(keys), dtype=_np.uint16)
-        .reshape(len(keys), g)
-        .astype(_np.float32)
+        prof = bits.reshape(len(sub), order // g, g).sum(axis=1, dtype=_np.uint16)
+        big_endian = prof.astype(">u2")
+        start = big_endian.view(width)[:, 0]
+        best = start.copy()
+        q = _np.full(len(sub), g, dtype=_np.int64)
+        for s in range(g - 1, 0, -1):
+            key = _np.roll(big_endian, -s, axis=1).view(width)[:, 0]
+            best = _np.where(key < best, key, best)
+            q[key == start] = s  # descending s: the least period wins
+        least[lo : lo + len(sub)] = _np.frombuffer(best.tobytes(), dtype=">u2").reshape(-1, g)
+        periods[lo : lo + len(sub)] = q
+    keys, first, inverse = _np.unique(
+        least, axis=0, return_index=True, return_inverse=True
     )
-
-
-def _rotate(key: bytes) -> bytes:
-    """The profile shifted by one position mod g: out[r] = key[r - 1]."""
-    return key[-2:] + key[:-2]
-
-
-def _rotation_orbits(
-    side: dict[bytes, int], other: dict[bytes, int]
-) -> tuple[list[bytes], list[int]]:
-    """Representatives of `side`'s profiles under rotation mod g, each with
-    the summed weight of the orbit members present in `side`.
-
-    dot(rot^s r, p) = dot(r, rot^-s p), so when `other`'s profile -> weight
-    map is invariant under rotation, every member of an orbit meets the same
-    nu-histogram against `other`, and one representative per orbit carries
-    the orbit's weight.  Clusters built by prime_cluster and merge always
-    pass (f_M(2m) = f_M(m) + 1 rotates a row by one exponent and keeps its
-    multiplicity); a hand-built cluster may not, and then each profile is
-    its own orbit.  One lookup per profile checks the invariance: rotation
-    maps the finite support into itself injectively, hence onto itself.
-    """
-    if any(other.get(_rotate(key)) != w for key, w in other.items()):
-        return list(side), list(side.values())
-    reps: list[bytes] = []
-    weights: list[int] = []
-    seen: set[bytes] = set()
-    for key in side:
-        if key in seen:
-            continue
-        orbit = {key}
-        member = _rotate(key)
-        while member != key:
-            orbit.add(member)
-            member = _rotate(member)
-        seen |= orbit
-        reps.append(key)
-        weights.append(sum(side.get(m, 0) for m in orbit))
-    return reps, weights
+    return keys, periods[first], _np.bincount(inverse.reshape(-1), weights=weights)
 
 
 def _cross_histogram_numpy(a: Cluster, b: Cluster, order: int) -> dict[int, int]:
-    """Cross histogram over profile orbit representatives x full profiles.
-
-    Exactness windows, checked by cross_histogram before this runs:
-    profile counts are at most max order / g and are summed in uint16
-    (< 2^16); dot products are at most lcm(orders) = order and are formed
-    in float32 with nonnegative integer terms, so every partial sum is an
-    exact integer (< 2^24); per-representative weight sums over the other
-    side are float64 and total at most its modulus part (< 2^52).
-    """
+    """Cross histogram of one side's profile orbits (weight W) against every
+    member profile of the other side (weight W / q); the exactness windows
+    of the module docstring are checked by cross_histogram before this
+    runs.  The side expanded is the one that gives fewer dot products."""
     g = math.gcd(a.order, b.order)
-    prof_a = _profiles(a, g)
-    prof_b = _profiles(b, g)
-    if len(prof_a) > len(prof_b):
-        prof_a, prof_b = prof_b, prof_a
-    reps, mult_a = _rotation_orbits(prof_a, prof_b)
-    mat_a = _profile_matrix(reps, g)
-    prof_b_t = _np.ascontiguousarray(_profile_matrix(list(prof_b), g).T)
-    weights_b = _np.array(list(prof_b.values()), dtype=_np.float64)
-    counts: dict[int, int] = {}
-    block = max(1, (1 << 24) // max(len(weights_b), 1))
-    for lo in range(0, mat_a.shape[0], block):
-        nu_block = (mat_a[lo : lo + block] @ prof_b_t).astype(_np.int64)
-        for i in range(nu_block.shape[0]):
-            hist = _np.bincount(nu_block[i], weights=weights_b, minlength=order + 1)
-            nz = _np.nonzero(hist)[0]
-            w_a = mult_a[lo + i]
-            for v in nz:
-                key = int(v)
-                add = w_a * int(hist[v])
-                if key in counts:
-                    counts[key] += add
-                else:
-                    counts[key] = add
-    return counts
+    least_a, q_a, weights_a = _profile_orbits(a, g)
+    least_b, q_b, w_b = _profile_orbits(b, g)
+    if len(q_a) * q_b.sum() > len(q_b) * q_a.sum():
+        least_a, weights_a, least_b, q_b, w_b = least_b, w_b, least_a, q_a, weights_a
+    # the members of a profile orbit are its least profile rotated by s < q
+    members = _np.concatenate([_np.roll(least_b[q_b > s], -s, axis=1) for s in range(g)])
+    per_member = w_b / q_b  # exact: q divides W < 2^52
+    weights_b = _np.concatenate([per_member[q_b > s] for s in range(g)])
+    mat_a = least_a.astype(_np.float32)  # uint16 counts are exact in float32
+    prof_b_t = _np.ascontiguousarray(members.T.astype(_np.float32))
+    block = max(1, min(len(mat_a), (1 << 20) // max(len(weights_b), 1)))
+    dots = _np.empty((block, len(weights_b)), dtype=_np.float32)
+    nus = _np.empty((block, len(weights_b)), dtype=_np.int64)
+    totals = [0] * (order + 1)
+    for lo in range(0, len(mat_a), block):
+        n = min(block, len(mat_a) - lo)
+        _np.matmul(mat_a[lo : lo + n], prof_b_t, out=dots[:n])
+        _np.copyto(nus[:n], dots[:n], casting="unsafe")
+        for i in range(n):
+            hist = _np.bincount(nus[i], weights=weights_b, minlength=order + 1)
+            nz = _np.flatnonzero(hist)
+            w_a = int(weights_a[lo + i])
+            for nu, c in zip(nz.tolist(), hist[nz].astype(_np.int64).tolist()):
+                totals[nu] += w_a * c
+    return {nu: c for nu, c in enumerate(totals) if c}
 
 
 def _numpy_window_error(a: Cluster, b: Cluster) -> str | None:
@@ -344,10 +429,7 @@ def cross_histogram(a: Cluster, b: Cluster, backend: str = "auto") -> DeltaHisto
     intersection.  Exact; the numpy backend is used when the work is large
     and the pair fits all of its exactness windows (a forced
     backend="numpy" outside them raises ValueError)."""
-    if math.gcd(a.modulus_part, b.modulus_part) != 1:
-        raise ValueError(
-            f"modulus parts {a.modulus_part}, {b.modulus_part} are not coprime"
-        )
+    _check_coprime(a, b)
     order = math.lcm(a.order, b.order)
     if backend not in ("auto", "numpy", "pure"):
         raise ValueError(f"unknown backend {backend!r}")
@@ -356,7 +438,7 @@ def cross_histogram(a: Cluster, b: Cluster, backend: str = "auto") -> DeltaHisto
     if backend == "auto":
         use_numpy = (
             _np is not None
-            and len(a.rows) * len(b.rows) >= 1 << 18
+            and a.row_count() * b.row_count() >= 1 << 18
             and window_error is None
         )
     if use_numpy:
@@ -366,18 +448,10 @@ def cross_histogram(a: Cluster, b: Cluster, backend: str = "auto") -> DeltaHisto
             raise ValueError(window_error)
         counts = _cross_histogram_numpy(a, b, order)
     else:
-        lifted_a = augment(a, order)
-        lifted_b = augment(b, order)
         counts = {}
-        items_b = list(lifted_b.rows.items())
-        for mask_a, mult_a in lifted_a.rows.items():
-            for mask_b, mult_b in items_b:
-                nu = (mask_a & mask_b).bit_count()
-                w = mult_a * mult_b
-                if nu in counts:
-                    counts[nu] += w
-                else:
-                    counts[nu] = w
+        for key, w in _joint_orbits(a, b, order):
+            nu = key.bit_count()
+            counts[nu] = counts.get(nu, 0) + w
     return DeltaHistogram(M=a.modulus_part * b.modulus_part, counts=counts)
 
 

@@ -130,6 +130,23 @@ def test_zero_modulus_is_domain_error(capsys, argv):
     assert err.startswith("error:") and "modulus must be >= 1" in err
 
 
+@pytest.mark.parametrize(
+    "command,bad",
+    [("derive", "0"), ("derive", "1"), ("derive", "-5"), ("derive", "15"),
+     ("verify", "15")],
+)
+def test_assigned_prime_must_be_an_odd_prime(capsys, command, bad):
+    # the prime for modulus 4 must be an odd prime dividing 2^4 - 1 = 15
+    argv = ["progression", command, "--classes", "0:2,0:3,1:4,3:8,7:12,23:24",
+            "--primes", f"3,7,{bad},17,13,241"]
+    if command == "verify":
+        argv += ["--a", "7629217"]
+    code, out, err = run_cli(capsys, *argv)
+    assert code == 1
+    assert out == ""
+    assert err.startswith("error:") and "not an odd prime" in err
+
+
 def test_chen_check_json(capsys):
     code, out, _ = run_cli(capsys, "chen", "check", "--b", "11184810")
     assert code == 0

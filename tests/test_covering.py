@@ -43,6 +43,20 @@ def test_assignment_type_invariants():
         PrimeAssignment.from_pairs([(2, 5)])  # 5 does not divide 3
 
 
+@pytest.mark.parametrize("bad", [0, 1, -5, 15])
+def test_assignment_rejects_prime_that_is_not_an_odd_prime(bad):
+    # 0 used to raise ZeroDivisionError; 1, -5 and the composite 15 all
+    # divide 2^4 - 1 and used to pass
+    with pytest.raises(ValueError, match="not an odd prime"):
+        PrimeAssignment.from_pairs([(2, 3), (4, bad)])
+
+
+def test_assignment_rejects_nonpositive_modulus():
+    # 2^0 - 1 = 0 is divisible by every prime
+    with pytest.raises(ValueError, match="modulus must be >= 1"):
+        PrimeAssignment.from_pairs([(0, 3)])
+
+
 def test_is_covering_known_systems():
     assert is_covering(ERDOS_SYSTEM)
     assert is_covering(CHEN_SYSTEM_2)

@@ -23,7 +23,7 @@ from p2k.density import (
     prime_cluster,
     run_estimate,
 )
-from p2k.density import _half_cluster, _profiles, _rotation_orbits
+from p2k.density import _half_cluster
 
 
 def test_prime_cluster_3():
@@ -135,8 +135,9 @@ def test_cross_numpy_backend_matches_pure():
 
 
 def _shift_one_unit_to_a_rotation(cluster):
-    """Move one unit of multiplicity from a row's rotation (by one exponent)
-    to the row itself: same total, but no longer rotation-invariant."""
+    """Full rows of the cluster with one unit of multiplicity moved from a
+    row's rotation (by one exponent) to the row itself: same total, but no
+    longer rotation-invariant."""
     full = (1 << cluster.order) - 1
     for mask in sorted(cluster.rows):
         rot = ((mask << 1) | (mask >> (cluster.order - 1))) & full
@@ -146,8 +147,42 @@ def _shift_one_unit_to_a_rotation(cluster):
             rows[rot] -= 1
             if rows[rot] == 0:
                 del rows[rot]
-            return Cluster(cluster.modulus_part, cluster.order, rows)
+            return rows
     raise AssertionError("no row with a distinct rotation")
+
+
+# full-row oracle: the merge and cross loops over every row pair, with an
+# independent lift (bit k of the lifted row is bit k mod order of the row)
+
+
+def _lift_rows(rows, order, target):
+    return {
+        sum(1 << k for k in range(target) if mask >> (k % order) & 1): mult
+        for mask, mult in rows.items()
+    }
+
+
+def _row_pairs(a, b):
+    order = math.lcm(a.order, b.order)
+    rows_a = _lift_rows(a.rows, a.order, order)
+    rows_b = _lift_rows(b.rows, b.order, order)
+    for mask_a, mult_a in rows_a.items():
+        for mask_b, mult_b in rows_b.items():
+            yield mask_a & mask_b, mult_a * mult_b
+
+
+def _merge_rows(a, b):
+    rows = {}
+    for key, w in _row_pairs(a, b):
+        rows[key] = rows.get(key, 0) + w
+    return rows
+
+
+def _cross_rows(a, b):
+    counts = {}
+    for key, w in _row_pairs(a, b):
+        counts[key.bit_count()] = counts.get(key.bit_count(), 0) + w
+    return counts
 
 
 _DIFF_POOL = (3, 5, 7, 11, 13, 17, 19, 23, 29, 31, 37, 41, 43, 73, 127, 241)
@@ -175,41 +210,53 @@ def _split_prime_sets(draw):
 @settings(max_examples=60, deadline=None)
 @given(_split_prime_sets())
 def test_cross_numpy_quotient_equals_pure_and_oracle(split):
+    # the orbit-stored augment, merge and both cross backends against the
+    # full-row loops and the brute-force f_M oracle
     left, right = split
     a, b = _half_cluster(left), _half_cluster(right)
+    order = math.lcm(a.order, b.order)
+    assert augment(a, order).rows == _lift_rows(a.rows, a.order, order)
+    merged = merge(a, b)
+    merged.validate()
+    assert merged.rows == _merge_rows(a, b)
     h_np = cross_histogram(a, b, backend="numpy")
     h_pure = cross_histogram(a, b, backend="pure")
-    assert h_np.counts == h_pure.counts
+    assert h_np.counts == h_pure.counts == _cross_rows(a, b)
     assert h_pure.counts == brute_force_delta(math.prod(left + right)).counts
 
 
-@pytest.mark.parametrize("left,right", [
-    ((3,), (5, 7)),
-    ((3, 7), (5, 13)),
-    ((5,), (3, 7, 13)),
-])
-def test_cross_numpy_matches_pure_on_non_invariant_cluster(left, right):
-    # the altered cluster has more profiles, so it is the side whose
-    # invariance the numpy backend checks; the check must fail and the
-    # backend must fall back to one orbit per profile
-    a = _half_cluster(left)
-    b = _shift_one_unit_to_a_rotation(_half_cluster(right))
-    b.validate()
-    g = math.gcd(a.order, b.order)
-    assert len(_profiles(b, g)) > len(_profiles(a, g))
-    h_np = cross_histogram(a, b, backend="numpy")
-    assert h_np.counts == cross_histogram(a, b, backend="pure").counts
+def test_density_11_halves_expand_to_the_traced_row_counts():
+    # the benchmark pins these sizes of the 11-prime cross stage
+    left, right = balance_partition((3, 5, 7, 11, 13, 17, 19, 31, 41, 73, 241))
+    a, b = _half_cluster(left), _half_cluster(right)
+    assert (len(a.orbits), len(b.orbits)) == (379, 757)
+    assert (a.row_count(), b.row_count()) == (37016, 106093)
+    assert (len(a.rows), len(b.rows)) == (37016, 106093)
+    assert sum(a.rows.values()) == a.modulus_part
+    assert sum(b.rows.values()) == b.modulus_part
+    assert math.gcd(a.order, b.order) == 60
 
 
-def test_rotation_orbits_quotient_merged_clusters():
-    a, b = _half_cluster((3, 5, 7)), _half_cluster((11, 13))
-    g = math.gcd(a.order, b.order)
-    prof_a, prof_b = _profiles(a, g), _profiles(b, g)
-    reps, weights = _rotation_orbits(prof_a, prof_b)
-    assert len(reps) < len(prof_a)
-    assert sum(weights) == a.modulus_part
-    altered = _profiles(_shift_one_unit_to_a_rotation(b), g)
-    assert _rotation_orbits(prof_a, altered) == (list(prof_a), list(prof_a.values()))
+@pytest.mark.parametrize("primes", [(5, 7), (5, 13), (3, 7, 13)])
+def test_from_rows_rejects_non_invariant_rows(primes):
+    c = _half_cluster(primes)
+    assert Cluster.from_rows(c.modulus_part, c.order, c.rows) == c
+    with pytest.raises(ValueError):
+        Cluster.from_rows(c.modulus_part, c.order, _shift_one_unit_to_a_rotation(c))
+
+
+def test_validate_rejects_non_canonical_key():
+    # 0b110 is a rotation of 0b011, the least member of its orbit
+    Cluster(7, 3, {0b111: 4, 0b011: 1}).validate()
+    with pytest.raises(ValueError, match="least rotation"):
+        Cluster(7, 3, {0b111: 4, 0b110: 1}).validate()
+
+
+def test_validate_rejects_wrong_orbit_mass():
+    # the stored multiplicities sum to 7, but the orbit of 0b011 has three
+    # rows, so the cluster holds 6 + 3 = 9
+    with pytest.raises(ValueError, match="sum to 9"):
+        Cluster(7, 3, {0b111: 6, 0b011: 1}).validate()
 
 
 def test_cross_numpy_uint16_window():

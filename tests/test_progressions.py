@@ -51,11 +51,10 @@ def test_derive_rejects_mismatched_assignment():
 
 
 def test_derive_rejects_shared_factor():
-    # 15 divides 2^4 - 1 but shares the factor 3 with the prime for 2
-    system = CoveringSystem.from_pairs([(0, 2), (1, 4)])
-    asg = PrimeAssignment.from_pairs([(2, 3), (4, 15)])
-    with pytest.raises(ValueError, match="15 shares a factor with 6"):
-        derive_progression(system, asg)
+    # 15 divides 2^4 - 1 but shares the factor 3 with the prime for 2; the
+    # assignment refuses it as composite before any progression is derived
+    with pytest.raises(ValueError, match="15 is not an odd prime"):
+        PrimeAssignment.from_pairs([(2, 3), (4, 15)])
 
 
 def test_progression_type_invariants():
