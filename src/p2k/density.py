@@ -36,26 +36,28 @@ with multiplicities w_a and w_b, merge adds w_a * w_b * lcm(p_a, p_b) / p_c
 to each member of c's orbit, and the pure cross adds
 w_a * w_b * lcm(p_a, p_b) at nu = popcount(c).
 
-The two halves of a split are crossed without building the merged cluster.
-Over g = gcd of the two orders, a row reduces to its profile (set bits per
-residue mod g), a pair of rows intersects in the dot product of their
-profiles (x -> (x mod L_a, x mod L_b) is a bijection onto the pairs that
-agree mod g), and rotating a row rotates its profile mod g.  The numpy
-backend takes the profiles of the orbit representatives only and groups them
-by least profile rotation: a profile orbit of period q carries
-W = sum p * w over the row orbits in it, W / q on each member (exact, since q
-divides every such p).  The other side's profile -> weight map is
-rotation-invariant, and dot(rot^s r, p) = dot(r, rot^-s p), so every member
-of a profile orbit meets the same nu-histogram against it: one side's orbit
-profiles, weighted W, are multiplied against every member profile of the
-other side, weighted W / q.  Exactness windows, checked before it runs:
-profile counts are at most max order / g and are summed in uint16 (< 2^16);
-dot products are at most lcm(orders) and are formed in float32 from
-nonnegative integer terms, so every partial sum is an exact integer
+The two halves of a split are crossed without building the merged cluster,
+by one of two engines that cross_histogram chooses between; neither is
+selectable from outside.  Over g = gcd of the two orders, a row reduces to
+its profile (set bits per residue mod g), a pair of rows intersects in the
+dot product of their profiles (x -> (x mod L_a, x mod L_b) is a bijection
+onto the pairs that agree mod g), and rotating a row rotates its profile
+mod g.  The numpy engine takes the profiles of the orbit representatives
+only and groups them by least profile rotation: a profile orbit of period q
+carries W = sum p * w over the row orbits in it, W / q on each member
+(exact, since q divides every such p).  The other side's profile -> weight
+map is rotation-invariant, and dot(rot^s r, p) = dot(r, rot^-s p), so every
+member of a profile orbit meets the same nu-histogram against it: one
+side's orbit profiles, weighted W, are multiplied against every member
+profile of the other side, weighted W / q.  It is exact inside three
+windows: profile counts are at most max order / g and are summed in uint16
+(< 2^16); dot products are at most lcm(orders) and are formed in float32
+from nonnegative integer terms, so every partial sum is an exact integer
 (< 2^24); the weights one orbit profile meets are summed in float64 and
-total at most the other side's modulus part (< 2^52).  Outside them "auto"
-takes the pure path, which is also the oracle the numpy backend is tested
-against.
+total at most the other side's modulus part (< 2^52).  It runs when the
+row-count product is at least 2^18 and the pair fits all three windows.
+Every other pair takes the joint-orbit loop in Python ints, which is also
+the reference the numpy engine is tested against.
 """
 
 from __future__ import annotations
@@ -66,38 +68,33 @@ from dataclasses import dataclass
 from fractions import Fraction
 from functools import cached_property, reduce
 
-from .modcore import divisors, euler_phi, factorize, is_prime, lcm_all, ord2
+import numpy as _np
 
-try:
-    import numpy as _np
-except ImportError:  # pragma: no cover - numpy is a declared dependency
-    _np = None
+from .modcore import euler_phi, factorize, is_prime, lcm_all, ord2
 
 ORACLE_LIMIT = 10**7
 
-# exactness windows of the numpy cross backend (see the module docstring)
+# exactness windows of the numpy cross engine (see the module docstring)
 _F64_EXACT_LIMIT = 1 << 52
 _U16_EXACT_LIMIT = 1 << 16
 _F32_EXACT_LIMIT = 1 << 24
 
 
-def _period(mask: int, order: int, candidates) -> int:
-    """Least p > 0 with rot^p(mask) = mask, for a row of Z/order;
-    `candidates` lists, ascending, divisors of order that include it."""
-    full = (1 << order) - 1
-    doubled = mask | (mask << order)
-    return next(d for d in candidates if (doubled >> d) & full == mask)
+def _period(mask: int, order: int) -> int:
+    """Least p > 0 with rot^p(mask) = mask, for a row of Z/order: the first
+    match of the row's bit string inside itself doubled, past offset 0."""
+    bits = format(mask, f"0{order}b")
+    return (bits + bits).find(bits, 1)
 
 
-def _canonical(mask: int, order: int, candidates) -> tuple[int, int]:
-    """(least rotation, period) of a row of Z/order; `candidates` as for
-    _period.
+def _canonical(mask: int, order: int) -> tuple[int, int]:
+    """(least rotation, period) of a row of Z/order.
 
     Rotation i (bit j of it is bit i + j of the row) reads the row's bits
     i - 1, i - 2, ... from its top bit down, so the least rotation starts
     just above a longest run of zeros: only those starts are compared.
     """
-    period = _period(mask, order, candidates)
+    period = _period(mask, order)
     full = (1 << order) - 1
     doubled = mask | (mask << order)
     window = (1 << period) - 1
@@ -139,14 +136,13 @@ class Cluster:
         """The cluster of a full row -> multiplicity map; ValueError unless
         the map is a union of whole rotation orbits, each with one
         multiplicity."""
-        candidates = divisors(order)
         orbits: dict[int, int] = {}
         members: dict[int, int] = {}
         periods: dict[int, int] = {}
         for mask, mult in rows.items():
             if not 0 <= mask < 1 << order:
                 raise ValueError("row outside the ambient exponent ring")
-            least, periods[least] = _canonical(mask, order, candidates)
+            least, periods[least] = _canonical(mask, order)
             if orbits.setdefault(least, mult) != mult:
                 raise ValueError(f"rotations of row {least:#x} differ in multiplicity")
             members[least] = members.get(least, 0) + 1
@@ -158,8 +154,7 @@ class Cluster:
     @cached_property
     def periods(self) -> dict[int, int]:
         """Orbit size of each stored row."""
-        candidates = divisors(self.order)
-        return {mask: _period(mask, self.order, candidates) for mask in self.orbits}
+        return {mask: _period(mask, self.order) for mask in self.orbits}
 
     @cached_property
     def rows(self) -> dict[int, int]:
@@ -178,14 +173,13 @@ class Cluster:
         if self.order % ord2(self.modulus_part) != 0:
             raise ValueError("order must be a multiple of ord2(modulus part)")
         full = (1 << self.order) - 1
-        candidates = divisors(self.order)
         total = 0
         for mask, mult in self.orbits.items():
             if mask < 0 or mask > full:
                 raise ValueError("row outside the ambient exponent ring")
             if mult < 0:
                 raise ValueError("negative multiplicity")
-            least, period = _canonical(mask, self.order, candidates)
+            least, period = _canonical(mask, self.order)
             if least != mask:
                 raise ValueError(
                     f"row {mask:#x} is not the least rotation of its orbit ({least:#x})"
@@ -281,10 +275,9 @@ def merge(a: Cluster, b: Cluster) -> Cluster:
     found: dict[int, int] = {}
     for key, w in _joint_orbits(a, b, order):
         found[key] = found.get(key, 0) + w
-    candidates = divisors(order)
     orbits: dict[int, int] = {}
     for key, w in found.items():
-        least, period = _canonical(key, order, candidates)
+        least, period = _canonical(key, order)
         orbits[least] = orbits.get(least, 0) + w // period
     return Cluster(a.modulus_part * b.modulus_part, order, orbits)
 
@@ -374,11 +367,13 @@ def _profile_orbits(cluster: Cluster, g: int):
     return keys, periods[first], _np.bincount(inverse.reshape(-1), weights=weights)
 
 
-def _cross_histogram_numpy(a: Cluster, b: Cluster, order: int) -> dict[int, int]:
+def _cross_histogram_numpy(a: Cluster, b: Cluster) -> dict[int, int]:
     """Cross histogram of one side's profile orbits (weight W) against every
-    member profile of the other side (weight W / q); the exactness windows
-    of the module docstring are checked by cross_histogram before this
-    runs.  The side expanded is the one that gives fewer dot products."""
+    member profile of the other side (weight W / q).  Exact only inside the
+    windows that _fits_numpy_windows checks, which cross_histogram does
+    before choosing this engine.  The side expanded is the one that gives
+    fewer dot products."""
+    order = math.lcm(a.order, b.order)
     g = math.gcd(a.order, b.order)
     least_a, q_a, weights_a = _profile_orbits(a, g)
     least_b, q_b, w_b = _profile_orbits(b, g)
@@ -407,64 +402,51 @@ def _cross_histogram_numpy(a: Cluster, b: Cluster, order: int) -> dict[int, int]
     return {nu: c for nu, c in enumerate(totals) if c}
 
 
-def _numpy_window_error(a: Cluster, b: Cluster) -> str | None:
-    """Why the numpy cross would leave an exactness window, or None."""
-    count = max(a.order, b.order) // math.gcd(a.order, b.order)
-    order = math.lcm(a.order, b.order)
-    if max(a.modulus_part, b.modulus_part) >= _F64_EXACT_LIMIT:
-        return "multiplicities too large for the numpy backend"
-    if count >= _U16_EXACT_LIMIT:
-        return f"profile counts up to {count} overflow uint16 in the numpy backend"
-    if order >= _F32_EXACT_LIMIT:
-        return (
-            f"intersection sizes up to {order} are not exact in float32 "
-            "in the numpy backend"
-        )
-    return None
+def _cross_histogram_pure(a: Cluster, b: Cluster) -> dict[int, int]:
+    """Cross histogram over the joint rotation orbits, in exact ints."""
+    counts: dict[int, int] = {}
+    for key, w in _joint_orbits(a, b, math.lcm(a.order, b.order)):
+        nu = key.bit_count()
+        counts[nu] = counts.get(nu, 0) + w
+    return counts
 
 
-def cross_histogram(a: Cluster, b: Cluster, backend: str = "auto") -> DeltaHistogram:
+def _fits_numpy_windows(a: Cluster, b: Cluster) -> bool:
+    """Whether the numpy cross stays inside all three exactness windows:
+    weights below 2^52, profile counts below 2^16, intersection sizes
+    below 2^24."""
+    return (
+        max(a.modulus_part, b.modulus_part) < _F64_EXACT_LIMIT
+        and max(a.order, b.order) // math.gcd(a.order, b.order) < _U16_EXACT_LIMIT
+        and math.lcm(a.order, b.order) < _F32_EXACT_LIMIT
+    )
+
+
+def cross_histogram(a: Cluster, b: Cluster) -> DeltaHistogram:
     """Histogram of the merged cluster without materializing it: for every
     row pair, mult_a * mult_b is accumulated at nu = popcount of the
-    intersection.  Exact; the numpy backend is used when the work is large
-    and the pair fits all of its exactness windows (a forced
-    backend="numpy" outside them raises ValueError)."""
+    intersection.  Exact.  The numpy engine runs when the row-count product
+    is at least 2^18 and the pair fits its three exactness windows (weights
+    < 2^52 in float64, profile counts < 2^16 in uint16, intersection sizes
+    < 2^24 in float32); every other pair takes the joint-orbit loop in
+    Python ints."""
     _check_coprime(a, b)
-    order = math.lcm(a.order, b.order)
-    if backend not in ("auto", "numpy", "pure"):
-        raise ValueError(f"unknown backend {backend!r}")
-    window_error = _numpy_window_error(a, b)
-    use_numpy = backend == "numpy"
-    if backend == "auto":
-        use_numpy = (
-            _np is not None
-            and a.row_count() * b.row_count() >= 1 << 18
-            and window_error is None
-        )
-    if use_numpy:
-        if _np is None:
-            raise RuntimeError("numpy backend requested but numpy is unavailable")
-        if window_error is not None:
-            raise ValueError(window_error)
-        counts = _cross_histogram_numpy(a, b, order)
+    if a.row_count() * b.row_count() >= 1 << 18 and _fits_numpy_windows(a, b):
+        counts = _cross_histogram_numpy(a, b)
     else:
-        counts = {}
-        for key, w in _joint_orbits(a, b, order):
-            nu = key.bit_count()
-            counts[nu] = counts.get(nu, 0) + w
+        counts = _cross_histogram_pure(a, b)
     return DeltaHistogram(M=a.modulus_part * b.modulus_part, counts=counts)
 
 
-def brute_force_delta(M: int, backend: str = "auto") -> DeltaHistogram:
+def brute_force_delta(M: int) -> DeltaHistogram:
     """Independent oracle: compute |f_M(m)| = #{t in <2> : gcd(m - t, M) = 1}
     for every residue m, over every pair (m, t), and histogram the sizes.
     Limited to M <= 10^7.
 
     gcd(m - t, M) depends only on (m - t) mod M, so the coprimality table
-    U[x] = [gcd(x, M) = 1] is built once, one gcd per x, and each pair
-    reads U[(m - t) mod M].  The numpy branch (M >= 4096 under "auto", any
-    M when forced) sums slices of U laid out twice into an int32
-    accumulator, exact because nu <= ord2(M) < ORACLE_LIMIT < 2^31.
+    U[x] = [gcd(x, M) = 1] is built once in numpy, and for each t a slice of
+    U laid out twice is added into an int32 accumulator over m, exact
+    because nu <= ord2(M) < ORACLE_LIMIT < 2^31.
     """
     if M % 2 == 0 or M < 1:
         raise ValueError(f"M must be odd and positive, got {M}")
@@ -472,28 +454,21 @@ def brute_force_delta(M: int, backend: str = "auto") -> DeltaHistogram:
         raise ValueError(f"M = {M} beyond oracle range {ORACLE_LIMIT}")
     if any(e > 1 for _, e in factorize(M)):
         raise ValueError(f"M = {M} is not squarefree")
-    order = ord2(M)
-    pows = [pow(2, k, M) for k in range(order)]
+    pows = [pow(2, k, M) for k in range(ord2(M))]
+    coprime = (_np.gcd(_np.arange(M, dtype=_np.int64), M) == 1).astype(_np.uint8)
+    doubled = _np.concatenate([coprime, coprime])
     counts: dict[int, int] = {}
-    if _np is None or backend == "pure" or (backend != "numpy" and M < 4096):
-        coprime = [1 if math.gcd(x, M) == 1 else 0 for x in range(M)]
-        for m in range(M):
-            nu = 0
-            for t in pows:
-                nu += coprime[m - t]  # m - t > -M: a negative index wraps mod M
-            counts[nu] = counts.get(nu, 0) + 1
-    else:
-        coprime = (_np.gcd(_np.arange(M, dtype=_np.int64), M) == 1).astype(_np.uint8)
-        doubled = _np.concatenate([coprime, coprime])
-        chunk = 1 << 20
-        for lo in range(0, M, chunk):
-            hi = min(lo + chunk, M)
-            nu = _np.zeros(hi - lo, dtype=_np.int32)
-            for t in pows:
-                # (m - t) mod M = m - t + M for 0 <= t < M
-                nu += doubled[M - t + lo : M - t + hi]
-            for v, c in zip(*_np.unique(nu, return_counts=True)):
-                counts[int(v)] = counts.get(int(v), 0) + int(c)
+    chunk = 1 << 20
+    for lo in range(0, M, chunk):
+        hi = min(lo + chunk, M)
+        nu = _np.zeros(hi - lo, dtype=_np.int32)
+        for t in pows:
+            # (m - t) mod M = m - t + M for 0 <= t < M
+            nu += doubled[M - t + lo : M - t + hi]
+        hist = _np.bincount(nu)  # length at most ord2(M) + 1
+        nz = _np.flatnonzero(hist)
+        for v, c in zip(nz.tolist(), hist[nz].tolist()):
+            counts[v] = counts.get(v, 0) + c
     return DeltaHistogram(M=M, counts=counts)
 
 
@@ -668,10 +643,10 @@ def run_estimate(
     primes,
     partition: tuple | None = None,
     variant: str = "corrected",
-    backend: str = "auto",
 ) -> BoundResult:
     """Full pipeline: per-prime clusters, merge within each half, cross the
-    halves into the histogram, and evaluate the bound."""
+    halves into the histogram (cross_histogram picks its engine), and
+    evaluate the bound."""
     prime_list = list(primes)
     if not prime_list:
         raise ValueError("need at least one prime")
@@ -690,7 +665,7 @@ def run_estimate(
             )
     cluster_l = _half_cluster(left)
     cluster_r = _half_cluster(right)
-    hist = cross_histogram(cluster_l, cluster_r, backend=backend)
+    hist = cross_histogram(cluster_l, cluster_r)
     return evaluate_bound(
         hist,
         variant=variant,

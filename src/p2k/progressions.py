@@ -74,9 +74,6 @@ def derive_progression(
     system: CoveringSystem, assignment: PrimeAssignment
 ) -> CdlProgression:
     """CRT of {1 mod 2} and {2^{a_i} mod p_i} for the system's classes."""
-    for p in assignment.primes:
-        if p % 2 == 0:
-            raise ValueError(f"assigned primes must be odd, got {p}")
     a, m = cdl_progression_residue(system, assignment)
     return CdlProgression(a, m, system, assignment)
 

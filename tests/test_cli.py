@@ -218,3 +218,13 @@ def test_density_csv(capsys):
     assert lines[0] == "nu,delta"
     assert lines[1:3] == ["1,2", "2,1"]
     assert lines[-1].startswith("bound,0.5")
+
+
+def test_density_oracle_beyond_its_range_is_domain_error(capsys):
+    # M = 173364555 > 10^7: brute_force_delta refuses it, the CLI exits 1
+    code, out, err = run_cli(
+        capsys, "density", "--primes", "3,5,7,13,17,31,241", "--oracle"
+    )
+    assert code == 1
+    assert out == ""
+    assert "error:" in err

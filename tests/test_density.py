@@ -23,7 +23,12 @@ from p2k.density import (
     prime_cluster,
     run_estimate,
 )
-from p2k.density import _half_cluster
+from p2k.density import (
+    _cross_histogram_numpy,
+    _cross_histogram_pure,
+    _fits_numpy_windows,
+    _half_cluster,
+)
 
 
 def test_prime_cluster_3():
@@ -129,9 +134,7 @@ def test_cross_numpy_backend_matches_pure():
         right = TRIVIAL_CLUSTER
         for p in primes_r:
             right = merge(right, prime_cluster(p))
-        h_np = cross_histogram(left, right, backend="numpy")
-        h_pure = cross_histogram(left, right, backend="pure")
-        assert h_np.counts == h_pure.counts
+        assert _cross_histogram_numpy(left, right) == _cross_histogram_pure(left, right)
 
 
 def _shift_one_unit_to_a_rotation(cluster):
@@ -210,7 +213,7 @@ def _split_prime_sets(draw):
 @settings(max_examples=60, deadline=None)
 @given(_split_prime_sets())
 def test_cross_numpy_quotient_equals_pure_and_oracle(split):
-    # the orbit-stored augment, merge and both cross backends against the
+    # the orbit-stored augment, merge and both cross engines against the
     # full-row loops and the brute-force f_M oracle
     left, right = split
     a, b = _half_cluster(left), _half_cluster(right)
@@ -219,10 +222,10 @@ def test_cross_numpy_quotient_equals_pure_and_oracle(split):
     merged = merge(a, b)
     merged.validate()
     assert merged.rows == _merge_rows(a, b)
-    h_np = cross_histogram(a, b, backend="numpy")
-    h_pure = cross_histogram(a, b, backend="pure")
-    assert h_np.counts == h_pure.counts == _cross_rows(a, b)
-    assert h_pure.counts == brute_force_delta(math.prod(left + right)).counts
+    h_np = _cross_histogram_numpy(a, b)
+    h_pure = _cross_histogram_pure(a, b)
+    assert h_np == h_pure == _cross_rows(a, b) == cross_histogram(a, b).counts
+    assert h_pure == brute_force_delta(math.prod(left + right)).counts
 
 
 def test_density_11_halves_expand_to_the_traced_row_counts():
@@ -262,15 +265,28 @@ def test_validate_rejects_wrong_orbit_mass():
 def test_cross_numpy_uint16_window():
     # order/g = 70000 used to wrap the uint16 profile count to 4464
     big = Cluster(15, 70000, {(1 << 70000) - 1: 15})
-    with pytest.raises(ValueError):
-        cross_histogram(big, TRIVIAL_CLUSTER, backend="numpy")
-    assert cross_histogram(big, TRIVIAL_CLUSTER, backend="pure").counts == {70000: 15}
+    assert not _fits_numpy_windows(big, TRIVIAL_CLUSTER)
     assert cross_histogram(big, TRIVIAL_CLUSTER).counts == {70000: 15}
     edge = Cluster(15, 65536, {(1 << 65536) - 1: 15})
-    with pytest.raises(ValueError):
-        cross_histogram(edge, TRIVIAL_CLUSTER, backend="numpy")
+    assert not _fits_numpy_windows(edge, TRIVIAL_CLUSTER)
     inside = Cluster(15, 65532, {(1 << 65532) - 1: 15})
-    assert cross_histogram(inside, TRIVIAL_CLUSTER, backend="numpy").counts == {65532: 15}
+    assert _fits_numpy_windows(inside, TRIVIAL_CLUSTER)
+    assert _cross_histogram_numpy(inside, TRIVIAL_CLUSTER) == {65532: 15}
+
+
+def test_cross_uint16_window_guards_the_default_path():
+    # 70001 x 4 rows pass the size rule, but profile counts reach 70000
+    full = (1 << 70000) - 1
+    a = Cluster(70015, 70000, {full: 15, full >> 1: 1})
+    b = prime_cluster(7)
+    assert a.row_count() * b.row_count() >= 1 << 18
+    assert not _fits_numpy_windows(a, b)
+    expected = {139998: 210000, 140000: 45, 209997: 280000, 210000: 60}
+    assert cross_histogram(a, b).counts == expected
+    # unguarded, the numpy engine wraps every count in uint16
+    assert _cross_histogram_numpy(a, b) == {
+        8926: 210000, 8928: 45, 13389: 280000, 13392: 60,
+    }
 
 
 def test_cross_numpy_float32_window():
@@ -279,8 +295,7 @@ def test_cross_numpy_float32_window():
     order = 4096 * 4097
     a = Cluster(15, order, {(1 << order) - 1: 15})
     b = Cluster(17, 4096, {(1 << 4096) - 1: 17})
-    with pytest.raises(ValueError):
-        cross_histogram(a, b, backend="numpy")
+    assert not _fits_numpy_windows(a, b)
     assert cross_histogram(a, b).counts == {order: 15 * 17}
 
 
@@ -297,19 +312,26 @@ def test_brute_force_small_values():
 
 
 def test_brute_force_backends_agree():
-    assert brute_force_delta(23205, backend="pure").counts == \
-        brute_force_delta(23205).counts
+    # the oracle and both cross engines on the 23205 split
+    a, b = _half_cluster((3, 13)), _half_cluster((5, 7, 17))
+    expected = brute_force_delta(23205).counts
+    assert _cross_histogram_pure(a, b) == _cross_histogram_numpy(a, b) == expected
 
 
 @pytest.mark.parametrize("M", [3, 15, 105, 1155])
-@pytest.mark.parametrize("backend", ["pure", "numpy"])
-def test_brute_force_equals_per_pair_gcd_loop(M, backend):
+@pytest.mark.parametrize("engine", ["pure", "numpy"])
+def test_brute_force_equals_per_pair_gcd_loop(M, engine):
+    # the per-pair gcd loop is the reference for the oracle and for each
+    # cross engine on the balanced split of M
     pows = [pow(2, k, M) for k in range(ord2(M))]
     expected = {}
     for m in range(M):
         nu = sum(1 for t in pows if math.gcd(m - t, M) == 1)
         expected[nu] = expected.get(nu, 0) + 1
-    assert brute_force_delta(M, backend=backend).counts == expected
+    assert brute_force_delta(M).counts == expected
+    cross = {"pure": _cross_histogram_pure, "numpy": _cross_histogram_numpy}[engine]
+    left, right = balance_partition(p for p, _ in factorize(M))
+    assert cross(_half_cluster(left), _half_cluster(right)) == expected
 
 
 def test_brute_force_rejects_bad_m():
