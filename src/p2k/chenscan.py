@@ -27,10 +27,19 @@ residue 2^(c+1) mod q.
   lifted to the power of q in b and combined with every odd residue mod
   2^v2(b).
 
-The range scan first drops every b that fails the counting screen
-sum(T // o) >= T: one class mod o holds T / o of the T exponents mod T, so
-classes with fewer than T exponents in total cannot cover Z/T.  The screen
-is exact integer arithmetic and only ever drops covered b.
+The range scan drops every b that fails the counting screen
+sum(T // o) >= T, i.e. sum(1 / o) >= 1: one class mod o holds T / o of the
+T exponents mod T, so classes with fewer than T exponents in total cannot
+cover Z/T.  Most b fail it, and most of those are dropped before any
+factoring: a segmented sieve adds, for each b, an integer upper bound on
+N * sum(1 / o) with N = 2^62.  Each odd prime q <= sqrt(hi), hi the last b
+of the block, adds ceil(N / ord_2(q)) to its multiples.  What is left of b
+after those primes and its factor 2 is 1 or one prime r > isqrt(hi).
+2^ord_2(r) - 1 is a positive multiple of r, so 2^ord_2(r) > isqrt(hi) + 1
+and ord_2(r) >= l = (isqrt(hi) + 1).bit_length(); every b is credited
+ceil(N / l) for it.  A total below N proves sum(1 / o) < 1, so dropping on
+it is exact.  Both tests are integer arithmetic and only ever drop covered
+b.
 """
 
 from __future__ import annotations
@@ -154,54 +163,70 @@ def residual_to_progressions(verdict: ModulusVerdict) -> list[tuple[int, int]]:
     return [(a, verdict.b) for a in verdict.leftover]
 
 
-def _chunk_odd_prime_factors(lo: int, hi: int, odd_primes) -> list[list[int]]:
-    """Distinct odd prime factors, ascending, of each even b in [lo, hi]
-    (lo even), by sieving with odd_primes, which must reach sqrt(hi)."""
-    count = (hi - lo) // 2 + 1
-    factors: list[list[int]] = [[] for _ in range(count)]
-    rest = list(range(lo // 2, lo // 2 + count))  # b / 2
-    for p in odd_primes:
-        if p * p > hi:
-            break
-        for i in range(-(lo // 2) % p, count, p):
-            factors[i].append(p)
-            r = rest[i] // p
-            while r % p == 0:
-                r //= p
-            rest[i] = r
-    for fs, r in zip(factors, rest):
-        r >>= (r & -r).bit_length() - 1
-        if r > 1:
-            fs.append(r)  # the one prime factor above sqrt(hi)
-    return factors
+# Common denominator of the sieved order weights.  Any N keeps the bound
+# sound, since ceil(N / o) >= N / o; a large one only keeps the rounding
+# from passing b whose true sum lies just below 1.
+_N = 1 << 62
+
+
+def _sieved_blocks(start: int, stop: int, orders: dict[int, int]):
+    """Yield (lo, bounds) for blocks of about sqrt(stop) even b covering
+    [start, stop] (start even): bounds[i] >= N * sum(1 / ord_2(q)) over the
+    distinct odd primes q of b = lo + 2i, sieved as the module docstring
+    says.  orders memoises ord_2 of the sieving primes that hit some b.
+
+    l comes from the block's own hi, not from stop: on an early block a
+    prime just above sqrt(hi) can have a much smaller order than
+    log2(sqrt(stop)) (r = 31 has order 5).
+    """
+    odd_primes = primes_up_to(math.isqrt(stop))[1:]
+    width = 2 * math.isqrt(stop)
+    for lo in range(start, stop + 1, width):
+        hi = min(lo + width - 2, stop)
+        count = (hi - lo) // 2 + 1
+        root = math.isqrt(hi)
+        bounds = [-(-_N // (root + 1).bit_length())] * count
+        half = lo // 2
+        for q in odd_primes:
+            if q > root:
+                break
+            first = -half % q  # q | b exactly when q | b / 2 = half + i
+            if first < count:
+                if q not in orders:
+                    orders[q] = _ord2_prime(q)
+                w = -(-_N // orders[q])
+                for i in range(first, count, q):
+                    bounds[i] += w
+        yield lo, bounds
 
 
 def scan_range(b_lo: int, b_hi: int) -> ScanReport:
     """Uncovered verdicts for every even b >= 2 in [b_lo, b_hi].
 
-    Blocks of about sqrt(b_hi) consecutive integers, the usual segmented
-    sieve length, are factored at a time, so memory stays flat over any
-    range.  Orders are computed once per prime that divides some b, and the
-    longest prefix once per multiset of orders that passes the screen;
-    check_even_modulus runs only on the b found uncovered.
+    Block by block, the sieved bound (_sieved_blocks) drops every b whose
+    odd primes certainly fail the counting screen, with no division and no
+    factor list.  Only the rest are factored, get their orders (memoised
+    per prime), meet the exact screen and then the longest-prefix search
+    (memoised per multiset of orders); check_even_modulus runs only on the
+    b found uncovered.  Memory stays flat over any range.
     """
     start = max(2, b_lo + b_lo % 2)
     stop = b_hi - b_hi % 2
     if start > stop:
         raise ValueError(f"no even b >= 2 in [{b_lo}, {b_hi}]")
     t0 = time.monotonic()
-    odd_primes = primes_up_to(math.isqrt(stop))[1:]
     orders: dict[int, int] = {}
     prefixes: dict[tuple[int, ...], int] = {}
     uncovered: list[ModulusVerdict] = []
-    width = 2 * math.isqrt(stop)
-    for lo in range(start, stop + 1, width):
-        hi = min(lo + width - 2, stop)
-        for b, qs in zip(range(lo, hi + 1, 2), _chunk_odd_prime_factors(lo, hi, odd_primes)):
-            for q in qs:
-                if q not in orders:
-                    orders[q] = _ord2_prime(q)
-            ords = [orders[q] for q in qs]
+    for lo, bounds in _sieved_blocks(start, stop, orders):
+        for i in [i for i, total in enumerate(bounds) if total >= _N]:
+            b = lo + 2 * i
+            ords = []
+            for q, _ in factorize(b):
+                if q != 2:
+                    if q not in orders:
+                        orders[q] = _ord2_prime(q)
+                    ords.append(orders[q])
             T = math.lcm(*ords)
             if sum(T // o for o in ords) < T:
                 continue

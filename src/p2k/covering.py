@@ -392,6 +392,8 @@ def enumerate_cdl_systems(D: int) -> EnumerationReport:
     Each system is recorded with the tuple's canonical prime assignment
     and its progression, sorted by (moduli, residues).
     """
+    if D < 1:
+        raise ValueError(f"D must be >= 1, got D={D}")
     if D > 2**20:
         raise ValueError(f"D={D} out of supported enumeration range")
     if not _divisor_harmonic_exceeds_two(D):

@@ -13,13 +13,27 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 from functools import reduce
+from itertools import compress
 
 from .mersenne_table import MAX_TABLE_D, MERSENNE_FACTORS
 
-# Deterministic Miller-Rabin witness set for n < 3.317e24 (covers every
-# prime in the Mersenne table; the largest is ~5.8e17).
+# Deterministic Miller-Rabin: the first k prime bases are proven exact for
+# odd n < psi_k (OEIS A014233).  Each entry is (psi_k, k), listed with the
+# least k where psi_k repeats; the twelve bases reach psi_12 ~ 3.19e23, past
+# every prime in the Mersenne table (the largest is ~5.8e17).
 _MR_WITNESSES = (2, 3, 5, 7, 11, 13, 17, 19, 23, 29, 31, 37)
-_MR_LIMIT = 3_317_044_064_679_887_385_961_981
+_MR_WINDOWS = (
+    (2_047, 1),
+    (1_373_653, 2),
+    (25_326_001, 3),
+    (3_215_031_751, 4),
+    (2_152_302_898_747, 5),
+    (3_474_749_660_383, 6),
+    (341_550_071_728_321, 7),
+    (3_825_123_056_546_413_051, 9),
+    (318_665_857_834_031_151_167_461, 12),
+)
+_MR_LIMIT = _MR_WINDOWS[-1][0]
 
 _TRIAL_LIMIT = 10**7
 _SMALL_PRIME_LIMIT = 10**5
@@ -60,7 +74,7 @@ def primes_up_to(n: int) -> list[int]:
     for p in range(2, math.isqrt(n) + 1):
         if sieve[p]:
             sieve[p * p :: p] = bytearray(len(sieve[p * p :: p]))
-    return [i for i, flag in enumerate(sieve) if flag]
+    return list(compress(range(n + 1), sieve))
 
 
 _small_primes_cache: list[int] | None = None
@@ -82,25 +96,28 @@ def _trial_primes() -> list[int]:
 
 
 def is_prime(n: int) -> bool:
-    """Deterministic primality check for n < 3.317e24.
+    """Deterministic primality check for n < psi_12 ~ 3.19e23.
 
-    Trial division by small primes, then Miller-Rabin with a witness set
-    proven complete below that limit.  Larger inputs are out of scope and
+    Trial division by small primes, then Miller-Rabin with the fewest prime
+    bases proven complete below n.  Larger inputs are out of scope and
     rejected rather than answered probabilistically.
     """
     if n < 2:
         return False
-    for p in (2, 3, 5, 7, 11, 13, 17, 19, 23, 29, 31, 37):
+    for p in _MR_WITNESSES:
         if n % p == 0:
             return n == p
-    if n >= _MR_LIMIT:
+    for limit, k in _MR_WINDOWS:
+        if n < limit:
+            break
+    else:
         raise ValueError(f"primality check unsupported for n >= {_MR_LIMIT}")
     d = n - 1
     s = 0
     while d % 2 == 0:
         d //= 2
         s += 1
-    for a in _MR_WITNESSES:
+    for a in _MR_WITNESSES[:k]:
         x = pow(a, d, n)
         if x in (1, n - 1):
             continue

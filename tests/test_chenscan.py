@@ -1,16 +1,20 @@
 import math
+import random
 
 import pytest
 
 from conftest import M48, RESIDUES_48
 from p2k.chenscan import (
+    _N,
     ModulusVerdict,
+    _longest_prefix,
+    _sieved_blocks,
     check_even_modulus,
     find_witness,
     residual_to_progressions,
     scan_range,
 )
-from p2k.modcore import factorize, ord2
+from p2k.modcore import _ord2_prime, factorize, ord2, primes_up_to
 
 
 def test_smallest_moduli_covered_in_one_shift():
@@ -177,6 +181,102 @@ def test_full_range_leaves_only_11184810():
     assert scan_range(2, M48).uncovered_moduli == [verdict]
     assert verdict.shifts_used == 24
     assert list(verdict.leftover) == sorted(RESIDUES_48)
+
+
+def _reference_odd_prime_factors(lo, hi, odd_primes):
+    """Distinct odd prime factors, ascending, of each even b in [lo, hi]
+    (lo even), by sieving with odd_primes, which must reach sqrt(hi)."""
+    count = (hi - lo) // 2 + 1
+    factors = [[] for _ in range(count)]
+    rest = list(range(lo // 2, lo // 2 + count))  # b / 2
+    for p in odd_primes:
+        if p * p > hi:
+            break
+        for i in range(-(lo // 2) % p, count, p):
+            factors[i].append(p)
+            r = rest[i] // p
+            while r % p == 0:
+                r //= p
+            rest[i] = r
+    for fs, r in zip(factors, rest):
+        r >>= (r & -r).bit_length() - 1
+        if r > 1:
+            fs.append(r)  # the one prime factor above sqrt(hi)
+    return factors
+
+
+def _reference_scan(b_lo, b_hi):
+    """The per-b scan: factor lists for every b, its orders, the exact
+    screen sum(T // o) >= T, then the longest-prefix search."""
+    start, stop = max(2, b_lo + b_lo % 2), b_hi - b_hi % 2
+    odd_primes = primes_up_to(math.isqrt(stop))[1:]
+    width = 2 * math.isqrt(stop)
+    uncovered = []
+    for lo in range(start, stop + 1, width):
+        hi = min(lo + width - 2, stop)
+        for b, qs in zip(range(lo, hi + 1, 2), _reference_odd_prime_factors(lo, hi, odd_primes)):
+            ords = [_ord2_prime(q) for q in qs]
+            T = math.lcm(*ords)
+            if sum(T // o for o in ords) >= T and _longest_prefix(ords) == T:
+                uncovered.append(check_even_modulus(b))
+    return uncovered
+
+
+def _exact_weight(b):
+    """(N * sum(T // o), T) over the distinct odd primes of b, T = lcm."""
+    ords = [_ord2_prime(q) for q, _ in factorize(b) if q != 2]
+    T = math.lcm(*ords)
+    return _N * sum(T // o for o in ords), T
+
+
+def _assert_bounds_hold(start, stop):
+    seen = []
+    for lo, bounds in _sieved_blocks(start, stop, {}):
+        for i, bound in enumerate(bounds):
+            b = lo + 2 * i
+            weight, T = _exact_weight(b)
+            assert bound * T >= weight, b
+            seen.append(b)
+    assert seen == list(range(start, stop + 1, 2))
+
+
+def test_sieved_bound_never_below_the_order_weight():
+    # early blocks have hi far below the range's stop, so the credit for
+    # the prime above sqrt(hi) must come from each block's own hi
+    _assert_bounds_hold(2, 200000)
+
+
+def test_sieved_bound_drops_most_b():
+    kept = total = 0
+    for _, bounds in _sieved_blocks(2, 200000, {}):
+        kept += sum(bound >= _N for bound in bounds)
+        total += len(bounds)
+    assert total == 100000 and kept < total // 20
+
+
+@pytest.mark.parametrize("center", [10**3, 10**6, 11_000_000])
+@pytest.mark.parametrize("seed", [1, 2])
+def test_scan_matches_reference_across_block_boundaries(center, seed):
+    rng = random.Random(seed)
+    lo = center - 2 * rng.randrange(0, 300)
+    hi = lo + 2 * math.isqrt(2 * lo) + 2 * rng.randrange(1, 300)
+    assert (hi - lo) // 2 + 1 > math.isqrt(hi)  # more than one block
+    report = scan_range(lo, hi)
+    assert report.uncovered_moduli == _reference_scan(lo, hi)
+    _assert_bounds_hold(lo, hi)
+    # per-b verdicts: every b near 10^3 and 10^6; about 3 ms each near
+    # 1.1e7, so a seeded sample there
+    evens = range(lo, hi + 1, 2)
+    checked = evens if center < 10**7 else sorted(rng.sample(evens, 40))
+    uncovered = [v for v in map(check_even_modulus, checked) if not v.covered]
+    assert uncovered == [v for v in report.uncovered_moduli if v.b in checked]
+
+
+def test_window_around_twice_the_top_modulus():
+    top = 2 * M48
+    expected = [check_even_modulus(top)]
+    assert scan_range(top - 2000, top + 2000).uncovered_moduli == expected
+    assert _reference_scan(top - 2000, top + 2000) == expected
 
 
 def test_verdict_json_round_trip(big_modulus_verdict):

@@ -116,6 +116,15 @@ def test_progression_census_rejects_bad_modulus(capsys, modulus):
     assert err.startswith("error:")
 
 
+@pytest.mark.parametrize("group,command", [("cover", "enumerate"), ("progression", "census")])
+@pytest.mark.parametrize("D", ["0", "-24"])
+def test_nonpositive_D_is_domain_error(capsys, group, command, D):
+    code, out, err = run_cli(capsys, group, command, "--D", D)
+    assert code == 1
+    assert out == ""
+    assert err.startswith("error:") and f"D must be >= 1, got D={D}" in err
+
+
 @pytest.mark.parametrize(
     "argv",
     [

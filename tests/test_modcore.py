@@ -211,6 +211,51 @@ def test_is_prime():
     assert not is_prime(1) and not is_prime(561) and not is_prime(2**24 - 1)
 
 
+# psi_k (OEIS A014233): the least odd composite that passes Miller-Rabin
+# to each of the first k prime bases
+PSI = (
+    2047, 1373653, 25326001, 3215031751, 2152302898747, 3474749660383,
+    341550071728321, 341550071728321, 3825123056546413051,
+    3825123056546413051, 3825123056546413051, 318665857834031151167461,
+)
+BASES = (2, 3, 5, 7, 11, 13, 17, 19, 23, 29, 31, 37)
+
+
+def _strong_probable_prime(n, a):
+    d, s = n - 1, 0
+    while d % 2 == 0:
+        d, s = d // 2, s + 1
+    x = pow(a, d, n)
+    if x in (1, n - 1):
+        return True
+    for _ in range(s - 1):
+        x = x * x % n
+        if x == n - 1:
+            return True
+    return False
+
+
+@pytest.mark.parametrize("k", range(1, 13))
+def test_strong_pseudoprimes_to_the_first_k_bases_are_composite(k):
+    psi = PSI[k - 1]
+    assert all(_strong_probable_prime(psi, a) for a in BASES[:k])
+    if k < 12:
+        assert is_prime(psi) is False
+    else:
+        # every one of the twelve bases passes psi_12 = 399165290221 *
+        # 798330580441, so it lies outside the proven window
+        assert psi == 399165290221 * 798330580441
+        with pytest.raises(ValueError):
+            is_prime(psi)
+        with pytest.raises(ValueError):
+            factorize(psi)
+
+
+def test_is_prime_matches_sieve_below_one_million():
+    primes = set(primes_up_to(10**6))
+    assert [n for n in range(10**6) if is_prime(n)] == sorted(primes)
+
+
 def _kernel_cases():
     """Seeded moduli lists with repeats, T = lcm <= 24, random start masks,
     small enough to enumerate every choice vector."""
