@@ -169,11 +169,11 @@ def residual_to_progressions(verdict: ModulusVerdict) -> list[tuple[int, int]]:
 _N = 1 << 62
 
 
-def _sieved_blocks(start: int, stop: int, orders: dict[int, int]):
+def _sieved_blocks(start: int, stop: int):
     """Yield (lo, bounds) for blocks of about sqrt(stop) even b covering
     [start, stop] (start even): bounds[i] >= N * sum(1 / ord_2(q)) over the
     distinct odd primes q of b = lo + 2i, sieved as the module docstring
-    says.  orders memoises ord_2 of the sieving primes that hit some b.
+    says.
 
     l comes from the block's own hi, not from stop: on an early block a
     prime just above sqrt(hi) can have a much smaller order than
@@ -192,9 +192,7 @@ def _sieved_blocks(start: int, stop: int, orders: dict[int, int]):
                 break
             first = -half % q  # q | b exactly when q | b / 2 = half + i
             if first < count:
-                if q not in orders:
-                    orders[q] = _ord2_prime(q)
-                w = -(-_N // orders[q])
+                w = -(-_N // _ord2_prime(q))
                 for i in range(first, count, q):
                     bounds[i] += w
         yield lo, bounds
@@ -206,27 +204,21 @@ def scan_range(b_lo: int, b_hi: int) -> ScanReport:
     Block by block, the sieved bound (_sieved_blocks) drops every b whose
     odd primes certainly fail the counting screen, with no division and no
     factor list.  Only the rest are factored, get their orders (memoised
-    per prime), meet the exact screen and then the longest-prefix search
-    (memoised per multiset of orders); check_even_modulus runs only on the
-    b found uncovered.  Memory stays flat over any range.
+    per prime in modcore), meet the exact screen and then the longest-prefix
+    search (memoised per multiset of orders); check_even_modulus runs only
+    on the b found uncovered.  Memory stays flat over any range.
     """
     start = max(2, b_lo + b_lo % 2)
     stop = b_hi - b_hi % 2
     if start > stop:
         raise ValueError(f"no even b >= 2 in [{b_lo}, {b_hi}]")
     t0 = time.monotonic()
-    orders: dict[int, int] = {}
     prefixes: dict[tuple[int, ...], int] = {}
     uncovered: list[ModulusVerdict] = []
-    for lo, bounds in _sieved_blocks(start, stop, orders):
+    for lo, bounds in _sieved_blocks(start, stop):
         for i in [i for i, total in enumerate(bounds) if total >= _N]:
             b = lo + 2 * i
-            ords = []
-            for q, _ in factorize(b):
-                if q != 2:
-                    if q not in orders:
-                        orders[q] = _ord2_prime(q)
-                    ords.append(orders[q])
+            ords = [_ord2_prime(q) for q, _ in factorize(b) if q != 2]
             T = math.lcm(*ords)
             if sum(T // o for o in ords) < T:
                 continue

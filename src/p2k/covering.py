@@ -250,7 +250,8 @@ def _assignment_exists(candidates: list[list[int]]) -> bool:
 def iter_prime_assignments(moduli):
     """Yield every injective assignment d -> p | 2^d - 1 as a PrimeAssignment.
 
-    Moduli must be distinct, each within the 2^d - 1 table range.
+    Moduli must be distinct, each >= 2 with 2^d - 1 within factorize's
+    range; ValueError otherwise.
     """
     mods = list(moduli)
     if len(set(mods)) != len(mods):
@@ -405,7 +406,9 @@ def enumerate_cdl_systems(D: int) -> EnumerationReport:
             skip_reason=f"sum of 1/d over divisors of {D} does not exceed 2",
         )
     divs = [d for d in divisors(D) if d >= 2]
-    mersenne_prime_divisors(max(divs))  # raise early if out of table range
+    # raise early if 2^D - 1 cannot be factored; this also factors 2^d - 1
+    # for every d | D that the tuple search asks for
+    mersenne_prime_divisors(D)
 
     # modulus tuples: subsets with sum 1/d > 1, lcm exactly D, assignment ok
     tuples: list[tuple[int, ...]] = []

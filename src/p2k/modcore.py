@@ -1,26 +1,23 @@
 """Elementary modular arithmetic shared by every other module.
 
 Covers multiplicative orders of 2, exact CRT over big integers, deterministic
-factorization in the supported range, Euler phi, the prime divisors of
-2^d - 1 (backed by the compiled-in table in mersenne_table), and
-class_cover_search, the one search for one class (or none) per modulus
-covering Z/T that both the CDL enumeration (covering) and the Chen scan
-(chenscan) run.
+factorization (trial division, then Pollard-Brent rho, every factor proven
+prime), Euler phi, the prime divisors of 2^d - 1, and class_cover_search,
+the one search for one class (or none) per modulus covering Z/T that both
+the CDL enumeration (covering) and the Chen scan (chenscan) run.
 """
 
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from functools import reduce
-from itertools import compress
-
-from .mersenne_table import MAX_TABLE_D, MERSENNE_FACTORS
+from functools import cache, reduce
+from itertools import compress, count
 
 # Deterministic Miller-Rabin: the first k prime bases are proven exact for
 # odd n < psi_k (OEIS A014233).  Each entry is (psi_k, k), listed with the
-# least k where psi_k repeats; the twelve bases reach psi_12 ~ 3.19e23, past
-# every prime in the Mersenne table (the largest is ~5.8e17).
+# least k where psi_k repeats; the twelve bases reach psi_12 ~ 3.19e23, the
+# bound on every prime factorize returns above 10^10.
 _MR_WITNESSES = (2, 3, 5, 7, 11, 13, 17, 19, 23, 29, 31, 37)
 _MR_WINDOWS = (
     (2_047, 1),
@@ -35,8 +32,13 @@ _MR_WINDOWS = (
 )
 _MR_LIMIT = _MR_WINDOWS[-1][0]
 
-_TRIAL_LIMIT = 10**7
 _SMALL_PRIME_LIMIT = 10**5
+# Pollard-Brent iterations factorize spends on one cofactor before refusing
+# it.  Rho finds a prime p after some sqrt(p) iterations, and a composite
+# below psi_12 has one below 5.7e11, so the budget leaves room for those; it
+# also bounds the refusal of a prime above psi_12, which no iteration count
+# splits or certifies (2^89 - 1: about 1.5 s on a 2-core Xeon).
+_RHO_STEPS = 2**22
 
 
 @dataclass(frozen=True, order=True)
@@ -77,22 +79,9 @@ def primes_up_to(n: int) -> list[int]:
     return list(compress(range(n + 1), sieve))
 
 
-_small_primes_cache: list[int] | None = None
-_trial_primes_cache: list[int] | None = None
-
-
+@cache
 def _small_primes() -> list[int]:
-    global _small_primes_cache
-    if _small_primes_cache is None:
-        _small_primes_cache = primes_up_to(_SMALL_PRIME_LIMIT)
-    return _small_primes_cache
-
-
-def _trial_primes() -> list[int]:
-    global _trial_primes_cache
-    if _trial_primes_cache is None:
-        _trial_primes_cache = primes_up_to(_TRIAL_LIMIT)
-    return _trial_primes_cache
+    return primes_up_to(_SMALL_PRIME_LIMIT)
 
 
 def is_prime(n: int) -> bool:
@@ -130,37 +119,63 @@ def is_prime(n: int) -> bool:
     return True
 
 
-# Primes above the small-prime limit that appear in the Mersenne table;
-# factorize tries these before grinding trial division to 10^7, because
-# moduli in this codebase are mostly products of such primes.
-_large_table_primes_cache: list[int] | None = None
-
-
-def _large_table_primes() -> list[int]:
-    global _large_table_primes_cache
-    if _large_table_primes_cache is None:
-        seen = set()
-        for items in MERSENNE_FACTORS.values():
-            for p, _ in items:
-                if p > _SMALL_PRIME_LIMIT:
-                    seen.add(p)
-        _large_table_primes_cache = sorted(seen)
-    return _large_table_primes_cache
-
-
 def _certified_prime(n: int) -> bool:
     """is_prime, but False (rather than an error) beyond the proven range."""
     return n < _MR_LIMIT and is_prime(n)
 
 
+def _rho_divisor(n: int) -> int:
+    """A proper divisor of n > 1, which has no prime factor below 10^5 and
+    is not a certified prime, by Pollard's rho in Brent's form.
+
+    The walk y -> y^2 + c (mod n) is compared with its value x at the last
+    power-of-two step, the differences multiplied together 128 at a time
+    per gcd; a batch that jumps straight to gcd n is replayed one step at a
+    time, and a walk that still meets n restarts with the next c.  Raises
+    ValueError once _RHO_STEPS iterations have found no divisor: n is then
+    an uncertifiable prime or beyond the supported range.
+    """
+    steps = 0
+    for c in count(1):
+        y, r, q, g = 2, 1, 1, 1
+        while g == 1:
+            steps += 2 * r  # r steps leave x behind, up to r compare with it
+            if steps > _RHO_STEPS:
+                raise ValueError(
+                    f"{n.bit_length()}-bit cofactor not split or certified "
+                    f"within {_RHO_STEPS} Pollard-Brent steps"
+                )
+            x = y
+            for _ in range(r):
+                y = (y * y + c) % n
+            k = 0
+            while k < r and g == 1:
+                ys = y
+                for _ in range(min(128, r - k)):
+                    y = (y * y + c) % n
+                    q = q * (x - y) % n
+                g = math.gcd(q, n)
+                k += 128
+            r *= 2
+        if g == n:
+            g = 1
+            while g == 1:
+                ys = (ys * ys + c) % n
+                g = math.gcd(x - ys, n)
+        if g != n:
+            return g
+
+
 def factorize(n: int) -> list[tuple[int, int]]:
     """Factor n >= 1 into [(prime, exponent), ...] with primes ascending.
 
-    Deterministic: a certified prime above 10^5 (such as a prime of the
-    2^d - 1 table) returns at once; otherwise trial division (small primes
-    first, then up to 10^7) plus the primes of the 2^d - 1 table for the
-    large cofactors this project actually meets.  Raises ValueError when a
-    cofactor cannot be resolved within that range.
+    Deterministic: a certified prime above 10^5 returns at once; otherwise
+    trial division by the primes below 10^5, then Pollard-Brent rho on what
+    is left.  Every factor returned is proven prime: below 10^10 because
+    it has no prime factor below 10^5, above that by the deterministic
+    Miller-Rabin of is_prime, so below psi_12.  Raises ValueError, after at
+    most _RHO_STEPS rho iterations per cofactor, when a cofactor can be
+    neither split nor certified.
     """
     if n < 1:
         raise ValueError(f"factorize requires n >= 1, got {n}")
@@ -169,45 +184,23 @@ def factorize(n: int) -> list[tuple[int, int]]:
     if n > _SMALL_PRIME_LIMIT and _certified_prime(n):
         return [(n, 1)]
     factors: dict[int, int] = {}
-
-    def strip(m: int, p: int) -> int:
-        while m % p == 0:
-            factors[p] = factors.get(p, 0) + 1
-            m //= p
-        return m
-
     for p in _small_primes():
         if p * p > n:
             break
-        if n % p == 0:
-            n = strip(n, p)
-    if n == 1:
-        return sorted(factors.items())
-    if n < _SMALL_PRIME_LIMIT**2 or _certified_prime(n):
-        factors[n] = factors.get(n, 0) + 1
-        return sorted(factors.items())
-    for p in _large_table_primes():
-        if p * p > n:
-            break
-        if n % p == 0:
-            n = strip(n, p)
-            if n == 1 or _certified_prime(n):
-                break
-    if n > 1 and not _certified_prime(n):
-        for p in _trial_primes():
-            if p <= _SMALL_PRIME_LIMIT:
-                continue
-            if p * p > n:
-                break
-            if n % p == 0:
-                n = strip(n, p)
-                if n == 1 or _certified_prime(n):
-                    break
-    if n > 1:
-        if n < _TRIAL_LIMIT**2 or _certified_prime(n):
-            factors[n] = factors.get(n, 0) + 1
+        while n % p == 0:
+            factors[p] = factors.get(p, 0) + 1
+            n //= p
+    # n is now 1, a prime below 10^10 (the loop passed its square root), or
+    # free of primes below 10^5, like every divisor rho splits off it; such
+    # a number below 10^10 is prime
+    rest = [n] if n > 1 else []
+    while rest:
+        m = rest.pop()
+        if m < _SMALL_PRIME_LIMIT**2 or _certified_prime(m):
+            factors[m] = factors.get(m, 0) + 1
         else:
-            raise ValueError(f"cofactor {n} out of supported factorization range")
+            g = _rho_divisor(m)
+            rest += [g, m // g]
     return sorted(factors.items())
 
 
@@ -238,27 +231,9 @@ def pow2_mod(k: int, m: int) -> int:
     return pow(2, k, m)
 
 
-# prime -> least d with p | 2^d - 1, read off the table; that least d is
-# exactly ord_2(p) whenever ord_2(p) <= MAX_TABLE_D.
-_table_order_cache: dict[int, int] | None = None
-
-
-def _table_orders() -> dict[int, int]:
-    global _table_order_cache
-    if _table_order_cache is None:
-        orders: dict[int, int] = {}
-        for d in sorted(MERSENNE_FACTORS):
-            for p, _ in MERSENNE_FACTORS[d]:
-                orders.setdefault(p, d)
-        _table_order_cache = orders
-    return _table_order_cache
-
-
+@cache
 def _ord2_prime(p: int) -> int:
     """Order of 2 modulo an odd prime p."""
-    table = _table_orders()
-    if p in table:
-        return table[p]
     # ord divides p - 1; shrink p - 1 by its prime factors.
     t = p - 1
     for q, _ in factorize(p - 1):
@@ -267,6 +242,7 @@ def _ord2_prime(p: int) -> int:
     return t
 
 
+@cache
 def ord2(n: int) -> int:
     """Least t >= 1 with 2^t = 1 (mod n), for odd n >= 1; ord2(1) = 1.
 
@@ -276,9 +252,6 @@ def ord2(n: int) -> int:
     _check_odd_positive(n)
     if n == 1:
         return 1
-    table = _table_orders()
-    if n in table:  # a prime of the 2^d - 1 table
-        return table[n]
     result = 1
     for p, e in factorize(n):
         t = _ord2_prime(p)
@@ -314,21 +287,43 @@ def crt_solve(conditions: list[CongruenceCondition]) -> CongruenceCondition:
     return CongruenceCondition(x % m, m)
 
 
+@cache
+def _mersenne_primes(d: int) -> tuple[int, ...]:
+    # the primes of 2^k - 1 for each proper divisor k of d, ascending, then
+    # those of what is left of 2^d - 1 once they are divided out (a part of
+    # the cyclotomic factor Phi_d(2)): each factorize call meets only new
+    # primes, and 2^D - 1 is refused at its least k | D with 2^k - 1 out of
+    # range, so 2^1068 - 1 at 2^89 - 1 rather than after rho on 800 bits
+    primes: set[int] = set()
+    for k in divisors(d)[1:-1]:
+        primes.update(_mersenne_primes(k))
+    rest = 2**d - 1
+    for p in primes:
+        while rest % p == 0:
+            rest //= p
+    primes.update(p for p, _ in factorize(rest))
+    return tuple(sorted(primes))
+
+
 def mersenne_prime_divisors(d: int) -> list[int]:
-    """Distinct prime divisors of 2^d - 1, ascending, for 2 <= d <= 80."""
-    if not 2 <= d <= MAX_TABLE_D:
-        raise ValueError(
-            f"2^d - 1 factorizations available for 2 <= d <= {MAX_TABLE_D}, got d={d}"
-        )
-    return [p for p, _ in MERSENNE_FACTORS[d]]
+    """Distinct prime divisors of 2^d - 1, ascending, for d >= 2.
+
+    Raises ValueError when 2^d - 1 cannot be factored (see factorize).
+    """
+    if d < 2:
+        raise ValueError(f"2^d - 1 has prime divisors only for d >= 2, got d={d}")
+    try:
+        return list(_mersenne_primes(d))
+    except ValueError as exc:
+        raise ValueError(f"cannot factor 2^{d} - 1: {exc}") from None
 
 
 def primitive_mersenne_divisors(d: int) -> list[int]:
     """Primes p | 2^d - 1 with ord_2(p) = d exactly.
 
-    Nonempty for every 2 <= d <= 80 except d = 6 (Bang's theorem).
+    Nonempty for every d >= 2 except d = 6 (Bang's theorem).
     """
-    return [p for p in mersenne_prime_divisors(d) if _table_orders()[p] == d]
+    return [p for p in mersenne_prime_divisors(d) if _ord2_prime(p) == d]
 
 
 def lcm_all(values) -> int:

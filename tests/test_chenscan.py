@@ -231,7 +231,7 @@ def _exact_weight(b):
 
 def _assert_bounds_hold(start, stop):
     seen = []
-    for lo, bounds in _sieved_blocks(start, stop, {}):
+    for lo, bounds in _sieved_blocks(start, stop):
         for i, bound in enumerate(bounds):
             b = lo + 2 * i
             weight, T = _exact_weight(b)
@@ -248,7 +248,7 @@ def test_sieved_bound_never_below_the_order_weight():
 
 def test_sieved_bound_drops_most_b():
     kept = total = 0
-    for _, bounds in _sieved_blocks(2, 200000, {}):
+    for _, bounds in _sieved_blocks(2, 200000):
         kept += sum(bound >= _N for bound in bounds)
         total += len(bounds)
     assert total == 100000 and kept < total // 20

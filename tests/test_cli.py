@@ -1,4 +1,5 @@
 import json
+import re
 
 import pytest
 
@@ -123,6 +124,16 @@ def test_nonpositive_D_is_domain_error(capsys, group, command, D):
     assert code == 1
     assert out == ""
     assert err.startswith("error:") and f"D must be >= 1, got D={D}" in err
+
+
+def test_unfactorable_D_is_domain_error(capsys):
+    # 2^1068 - 1 has the factor 2^89 - 1, a prime above psi_12
+    code, out, err = run_cli(capsys, "cover", "enumerate", "--D", "1068")
+    assert code == 1
+    assert out == ""
+    assert err.startswith("error:") and "2^1068 - 1" in err
+    assert len(err.splitlines()) == 1
+    assert not re.search(r"\d{20}", err)  # no cofactor spelled out
 
 
 @pytest.mark.parametrize(

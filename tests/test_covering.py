@@ -18,6 +18,7 @@ from p2k.covering import (
     is_covering,
     is_minimal,
 )
+from p2k.progressions import derive_progression, membership_in_U_is_certified
 
 
 def test_type_rejects_repeated_moduli():
@@ -103,10 +104,11 @@ def test_enumerate_skips_low_divisor_density():
         assert report.systems == ()
 
 
-def test_enumerate_rejects_d_beyond_factor_table():
-    # 96 passes the divisor-density screen but 2^96 - 1 is out of table range
-    with pytest.raises(ValueError):
-        enumerate_cdl_systems(96)
+def test_enumerate_rejects_d_beyond_factor_range():
+    # 1068 = 12 * 89 passes the divisor-density screen, but 2^89 - 1 is a
+    # prime above psi_12 that factorize can neither split nor certify
+    with pytest.raises(ValueError, match="2\\^1068 - 1"):
+        enumerate_cdl_systems(1068)
 
 
 def test_enumerate_small_d_finds_nothing():
@@ -242,6 +244,21 @@ def test_enumeration_counts_for_60_and_72():
     for D, counts in ((60, (34560, 5760)), (72, (7488, 864))):
         report = enumerate_cdl_systems(D)
         assert (len(report.systems), report.distinct_progression_count) == counts
+
+
+@pytest.mark.parametrize("D, counts", [(96, (3456, 480)), (108, (5184, 1296))])
+def test_enumeration_past_d_80(D, counts):
+    # lcms whose 2^D - 1 lies past the old factor table's d <= 80
+    report = enumerate_cdl_systems(D)
+    assert (len(report.systems), report.distinct_progression_count) == counts
+    assert all(is_minimal(system) for system, _ in report.systems)
+    first = {}
+    for (system, asg), prog in zip(report.systems, report.progressions):
+        first.setdefault(prog, (system, asg))
+    for (a, m), (system, asg) in first.items():
+        progression = derive_progression(system, asg)
+        assert (progression.residue, progression.modulus) == (a, m)
+        assert membership_in_U_is_certified(progression)
 
 
 def test_progression_residue_for_erdos():

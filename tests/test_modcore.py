@@ -6,7 +6,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from p2k.mersenne_table import MAX_TABLE_D, MERSENNE_FACTORS
+from mersenne_table import MERSENNE_FACTORS
 from p2k.modcore import (
     CongruenceCondition,
     class_cover_search,
@@ -87,9 +87,26 @@ def test_factorize_round_trip_below_one_million():
 
 
 def test_factorize_large_table_products():
-    # products of big table primes resolve through the table path
+    # above psi_12, so rho has to split off 4278255361 before certifying
     n = 581283643249112959 * 4278255361
     assert factorize(n) == [(4278255361, 1), (581283643249112959, 1)]
+
+
+def _next_prime(n):
+    while not is_prime(n):
+        n += 1
+    return n
+
+
+def test_factorize_splits_products_of_primes_past_trial_division():
+    # primes in (10^5, 10^7): no trial division reaches them, rho must
+    rng = random.Random(10)
+    for _ in range(20):
+        p, q = sorted(_next_prime(rng.randrange(10**5, 10**7)) for _ in range(2))
+        if p == q:
+            continue
+        assert factorize(p * q) == [(p, 1), (q, 1)]
+        assert factorize(p * p * q) == [(p, 2), (q, 1)]
 
 
 def test_factorize_certified_prime_returns_whole():
@@ -176,9 +193,17 @@ def test_bang_spot_check():
 
 
 def test_mersenne_range_errors():
-    for bad in (1, 0, MAX_TABLE_D + 1):
+    # 2^89 - 1 is a prime above psi_12: rho cannot split it, Miller-Rabin
+    # cannot certify it
+    for bad in (1, 0, 89):
         with pytest.raises(ValueError):
             mersenne_prime_divisors(bad)
+
+
+def test_factorizer_reproduces_the_sympy_table():
+    for d, items in MERSENNE_FACTORS.items():
+        assert factorize(2**d - 1) == list(items), d
+        assert mersenne_prime_divisors(d) == [p for p, _ in items], d
 
 
 def test_mersenne_table_is_consistent():
@@ -192,8 +217,7 @@ def test_mersenne_table_is_consistent():
 
 
 def test_ord2_matches_table_orders():
-    # the least table exponent containing p is its order; ord2 reads table
-    # primes straight off the table, so check that it is the least one
+    # the least table exponent containing p is its order
     for d, items in MERSENNE_FACTORS.items():
         for p, _ in items:
             t = ord2(p)
@@ -243,12 +267,12 @@ def test_strong_pseudoprimes_to_the_first_k_bases_are_composite(k):
         assert is_prime(psi) is False
     else:
         # every one of the twelve bases passes psi_12 = 399165290221 *
-        # 798330580441, so it lies outside the proven window
+        # 798330580441, so it lies outside the proven window; rho splits it
+        # into two primes that Miller-Rabin certifies
         assert psi == 399165290221 * 798330580441
         with pytest.raises(ValueError):
             is_prime(psi)
-        with pytest.raises(ValueError):
-            factorize(psi)
+        assert factorize(psi) == [(399165290221, 1), (798330580441, 1)]
 
 
 def test_is_prime_matches_sieve_below_one_million():

@@ -1,30 +1,28 @@
 #!/usr/bin/env python3
-"""Regenerate src/p2k/mersenne_table.py.
+"""Regenerate tests/mersenne_table.py, the factorization oracle of the tests.
 
 Factors 2^d - 1 for 2 <= d <= 80 with sympy, proves each factor prime,
 checks the product reassembles, and emits the table as a Python literal.
 Run from the repository root:
 
-    python tools/gen_mersenne_table.py > src/p2k/mersenne_table.py
+    python tools/gen_mersenne_table.py > tests/mersenne_table.py
 """
 
 import sympy
 
 MAX_D = 80
 
-HEADER = '''"""Full factorizations of 2^d - 1 for 2 <= d <= %d.
+HEADER = '''"""Full factorizations of 2^d - 1 for 2 <= d <= %d: the test oracle for
+modcore's factorizer.
 
-Precomputed offline (see tools/gen_mersenne_table.py); every listed factor
-was primality-checked and every product reassembles to 2^d - 1.  The largest
-prime in the table is below 2^64, so the deterministic Miller-Rabin check in
-modcore re-verifies all of them.
+Generated with sympy by tools/gen_mersenne_table.py, independently of p2k;
+every listed factor was primality-checked and every product reassembles to
+2^d - 1.
 """
-
-MAX_TABLE_D = %d
 
 # d -> tuple of (prime, exponent), primes ascending
 MERSENNE_FACTORS = {
-''' % (MAX_D, MAX_D)
+''' % MAX_D
 
 
 def main():
