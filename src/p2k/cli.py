@@ -11,6 +11,7 @@ from __future__ import annotations
 import argparse
 import json
 import sys
+from functools import cache
 
 from . import chenscan, covering, density, progressions
 
@@ -25,7 +26,11 @@ def _parse_classes(text: str) -> covering.CoveringSystem:
 
 
 def _parse_ints(text: str) -> list[int]:
-    return [int(x) for x in text.split(",") if x.strip()]
+    """A comma list of ints; an empty item, as in ',3' or '3,,5', is an error."""
+    items = text.split(",")
+    if not all(x.strip() for x in items):
+        raise ValueError(f"empty item in the comma list {text!r}")
+    return [int(x) for x in items]
 
 
 def _emit(text: str):
@@ -76,10 +81,16 @@ def _cmd_cover_verify(args) -> int:
 
 
 def _assignment_for(args, system: covering.CoveringSystem) -> covering.PrimeAssignment:
-    if args.primes:
+    if args.primes is not None:
+        if args.match_modulus is not None:
+            raise ValueError("give either --primes or --match-modulus, not both")
         primes = _parse_ints(args.primes)
+        if len(primes) != len(system.moduli):
+            raise ValueError(
+                f"--primes gives {len(primes)} primes for {len(system.moduli)} moduli"
+            )
         return covering.PrimeAssignment.from_pairs(zip(system.moduli, primes))
-    if getattr(args, "match_modulus", None):
+    if args.match_modulus is not None:
         return progressions.assignment_matching_modulus(system.moduli, args.match_modulus)
     asg = covering.canonical_assignment(system.moduli)
     if asg is None:
@@ -129,6 +140,8 @@ def _cmd_progression_verify(args) -> int:
 
 def _cmd_progression_census(args) -> int:
     if args.D is not None:
+        if args.residues is not None or args.modulus is not None:
+            raise ValueError("census takes either --D or --residues with --modulus, not both")
         report = covering.enumerate_cdl_systems(args.D)
         pairs = sorted(set(report.progressions))
     else:
@@ -188,7 +201,8 @@ def _cmd_density(args) -> int:
     partition = None
     if args.partition:
         left_text, _, right_text = args.partition.partition("|")
-        partition = (_parse_ints(left_text), _parse_ints(right_text))
+        # an empty half is the trivial part of a split
+        partition = tuple(_parse_ints(t) if t else [] for t in (left_text, right_text))
     result = density.run_estimate(primes, partition=partition, variant=args.variant)
     if args.oracle:
         M = result.M
@@ -275,10 +289,15 @@ def build_parser() -> argparse.ArgumentParser:
     return parser
 
 
+@cache
+def _shared_parser() -> argparse.ArgumentParser:
+    # parse_args keeps no state between calls, so one tree serves them all
+    return build_parser()
+
+
 def dispatch(argv=None) -> int:
-    parser = build_parser()
     try:
-        args = parser.parse_args(argv)
+        args = _shared_parser().parse_args(argv)
     except SystemExit as exc:
         return exc.code if isinstance(exc.code, int) else 2
     try:

@@ -30,6 +30,7 @@ from .modcore import (
     is_prime,
     lcm_all,
     mersenne_prime_divisors,
+    period_mask,
 )
 
 
@@ -180,11 +181,8 @@ class EnumerationReport:
 
 
 def _class_mask(residue: int, modulus: int, D: int) -> int:
-    """Bits of {x in Z/D : x = residue (mod modulus)}."""
-    mask = 0
-    for x in range(residue % modulus, D, modulus):
-        mask |= 1 << x
-    return mask
+    """Bits of {x in Z/D : x = residue (mod modulus)}, for modulus | D."""
+    return period_mask(modulus, D) << residue % modulus
 
 
 def is_covering(c: CoveringSystem) -> bool:

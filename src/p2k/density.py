@@ -78,6 +78,8 @@ ORACLE_LIMIT = 10**7
 _F64_EXACT_LIMIT = 1 << 52
 _U16_EXACT_LIMIT = 1 << 16
 _F32_EXACT_LIMIT = 1 << 24
+# the oracle's narrow counter (see brute_force_delta)
+_U8_EXACT_LIMIT = 1 << 8
 
 
 def _period(mask: int, order: int) -> int:
@@ -438,30 +440,44 @@ def cross_histogram(a: Cluster, b: Cluster) -> DeltaHistogram:
     return DeltaHistogram(M=a.modulus_part * b.modulus_part, counts=counts)
 
 
+def _coprime_table(M: int, primes) -> _np.ndarray:
+    """U[x] = [gcd(x, M) = 1] for x < M as uint8, given the primes of M:
+    every p-th entry from 0 is cleared."""
+    table = _np.ones(M, dtype=_np.uint8)
+    for p in primes:
+        table[::p] = 0
+    return table
+
+
 def brute_force_delta(M: int) -> DeltaHistogram:
     """Independent oracle: compute |f_M(m)| = #{t in <2> : gcd(m - t, M) = 1}
     for every residue m, over every pair (m, t), and histogram the sizes.
     Limited to M <= 10^7.
 
     gcd(m - t, M) depends only on (m - t) mod M, so the coprimality table
-    U[x] = [gcd(x, M) = 1] is built once in numpy, and for each t a slice of
-    U laid out twice is added into an int32 accumulator over m, exact
-    because nu <= ord2(M) < ORACLE_LIMIT < 2^31.
+    U[x] = [gcd(x, M) = 1] is sieved from the primes of M (every p-th entry
+    cleared, p | M; the squarefree check already factors M), and for each t
+    a slice of U laid out twice is added into a counter over m.  The counter
+    holds nu <= ord2(M), so it is exact in uint8 when ord2(M) < 2^8, and in
+    int32 otherwise (ord2(M) < M <= ORACLE_LIMIT < 2^31).
     """
     if M % 2 == 0 or M < 1:
         raise ValueError(f"M must be odd and positive, got {M}")
     if M > ORACLE_LIMIT:
         raise ValueError(f"M = {M} beyond oracle range {ORACLE_LIMIT}")
-    if any(e > 1 for _, e in factorize(M)):
+    factors = factorize(M)
+    if any(e > 1 for _, e in factors):
         raise ValueError(f"M = {M} is not squarefree")
-    pows = [pow(2, k, M) for k in range(ord2(M))]
-    coprime = (_np.gcd(_np.arange(M, dtype=_np.int64), M) == 1).astype(_np.uint8)
+    order = ord2(M)
+    pows = [pow(2, k, M) for k in range(order)]
+    coprime = _coprime_table(M, [p for p, _ in factors])
     doubled = _np.concatenate([coprime, coprime])
+    counter = _np.uint8 if order < _U8_EXACT_LIMIT else _np.int32
     counts: dict[int, int] = {}
     chunk = 1 << 20
     for lo in range(0, M, chunk):
         hi = min(lo + chunk, M)
-        nu = _np.zeros(hi - lo, dtype=_np.int32)
+        nu = _np.zeros(hi - lo, dtype=counter)
         for t in pows:
             # (m - t) mod M = m - t + M for 0 <= t < M
             nu += doubled[M - t + lo : M - t + hi]
@@ -552,6 +568,22 @@ class BoundResult:
         )
 
 
+def _capped_sum(items, cap_den: int, numer: int, denom: int, ln2: Fraction) -> Fraction:
+    """sum of count * min(1/cap_den, numer nu/(denom ln2)) over (nu, count).
+
+    The Brun term is at most the cap exactly when
+    nu numer ln2.den cap_den <= denom ln2.num, that is when nu <= nu*, the
+    floor of denom ln2.num / (numer ln2.den cap_den).  Counts at nu > nu*
+    add count/cap_den, and those at nu <= nu* add count times a Brun term
+    linear in nu, so each side is one Fraction of an integer sum."""
+    nu_star = denom * ln2.numerator // (numer * ln2.denominator * cap_den)
+    capped = sum(count for nu, count in items if nu > nu_star)
+    weighted = sum(nu * count for nu, count in items if nu <= nu_star)
+    return Fraction(capped, cap_den) + Fraction(
+        numer * weighted * ln2.denominator, denom * ln2.numerator
+    )
+
+
 def evaluate_bound(
     histogram: DeltaHistogram,
     variant: str = "corrected",
@@ -568,6 +600,14 @@ def evaluate_bound(
     integers).  All arithmetic is exact rational; ln 2 enters as a 200-term
     enclosure with the division directed so bound_upper is a certified
     upper value.
+
+    Only nu up to the threshold nu* = T phi ln 2 / (numer cap_den) (T =
+    ord_2(M), cap 1/cap_den) fall under the cap, so the histogram is split
+    there with one integer comparison per nu, separately for each end of
+    the ln 2 enclosure: each bound is the capped counts over cap_den plus
+    numer * sum(nu * count below nu*) / (T phi ln 2), two Fractions in all.
+    A nu exactly at the threshold adds the same value to either part, and
+    Fractions are canonical, so the rationals equal the per-nu sum.
     """
     if variant not in VARIANTS:
         raise ValueError(f"variant must be one of {VARIANTS}, got {variant!r}")
@@ -587,21 +627,13 @@ def evaluate_bound(
         phi = euler_phi(M)
     histogram.validate(order=order, phi=phi)
     if variant == "corrected":
-        cap = Fraction(1, 2 * M)
-        numer = 1
+        cap_den, numer = 2 * M, 1
     else:
-        cap = Fraction(1, M)
-        numer = 2
+        cap_den, numer = M, 2
+    items = histogram.counts.items()
     denom = order * phi
-    upper = Fraction(0)
-    lower = Fraction(0)
-    for nu, count in histogram.sorted_items():
-        if count == 0:
-            continue
-        brun_hi = Fraction(numer * nu) / (denom * _LN2_LO)
-        brun_lo = Fraction(numer * nu) / (denom * _LN2_HI)
-        upper += count * min(cap, brun_hi)
-        lower += count * min(cap, brun_lo)
+    upper = _capped_sum(items, cap_den, numer, denom, _LN2_LO)
+    lower = _capped_sum(items, cap_den, numer, denom, _LN2_HI)
     if partition is None:
         partition = (primes, ())
     return BoundResult(

@@ -11,7 +11,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from functools import cache, reduce
+from functools import cache, lru_cache, reduce
 from itertools import compress, count
 
 # Deterministic Miller-Rabin: the first k prime bases are proven exact for
@@ -330,6 +330,21 @@ def lcm_all(values) -> int:
     return reduce(math.lcm, values, 1)
 
 
+@lru_cache(maxsize=256)
+def period_mask(d: int, T: int) -> int:
+    """Bits 0, d, 2d, ... below T, for d dividing T: the class 0 mod d in
+    Z/T, so the class c is period_mask(d, T) << c.  The pattern doubles its
+    width until it spans T, log2(T/d) big-int shifts (the quotient
+    (2^T - 1) // (2^d - 1) would be quadratic in large T).  The cache is
+    bounded: a Chen scan meets tens of thousands of (d, T) pairs, with T up
+    to 319,380 bits."""
+    mask, width = 1, d
+    while width < T:
+        mask |= mask << width
+        width <<= 1
+    return mask & ((1 << T) - 1)
+
+
 def class_cover_search(moduli, T: int, visit, covered: int = 0) -> None:
     """Walk the choices of one class (or none) per entry of moduli over Z/T,
     branching on the least uncovered position (Knuth's Algorithm X).
@@ -346,10 +361,7 @@ def class_cover_search(moduli, T: int, visit, covered: int = 0) -> None:
     covering nodes (x = T) are disjoint families of choice vectors: an
     entry left at None takes any class outside barred[i], or none.
     """
-    # bits 0, d, 2d, ... below T; parsed from a bit string, which takes
-    # linear time where (2^T - 1) // (2^d - 1) is quadratic in large T
-    periods = [int(("0" * (d - 1) + "1") * (T // d), 2) for d in moduli]
-    entries = [(i, d, periods[i], T // d) for i, d in enumerate(moduli)]
+    entries = [(i, d, period_mask(d, T), T // d) for i, d in enumerate(moduli)]
     classes: list[int | None] = [None] * len(moduli)
     barred = [0] * len(moduli)
 

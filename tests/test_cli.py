@@ -1,8 +1,13 @@
 import json
+import os
 import re
+import subprocess
+import sys
+from pathlib import Path
 
 import pytest
 
+import p2k
 from conftest import RESIDUES_48
 from p2k.cli import dispatch
 from p2k.covering import EnumerationReport
@@ -12,6 +17,27 @@ def run_cli(capsys, *argv):
     code = dispatch(list(argv))
     out = capsys.readouterr()
     return code, out.out, out.err
+
+
+def test_parser_keeps_no_state_between_calls(capsys):
+    # a usage error, a domain error and a good call made in one process
+    # print what each prints in a fresh interpreter
+    argvs = [
+        ["density", "--emit", "json"],
+        ["density", "--primes", "3,9"],
+        ["density", "--primes", "3,5,7", "--emit", "json"],
+    ]
+    env = dict(os.environ)
+    src = str(Path(p2k.__file__).resolve().parents[1])
+    env["PYTHONPATH"] = os.pathsep.join(filter(None, [src, env.get("PYTHONPATH")]))
+    in_process = [run_cli(capsys, *argv) for argv in argvs]
+    assert [code for code, _, _ in in_process] == [2, 1, 0]
+    for argv, result in zip(argvs, in_process):
+        fresh = subprocess.run(
+            [sys.executable, "-m", "p2k", *argv],
+            capture_output=True, text=True, env=env, timeout=60,
+        )
+        assert (fresh.returncode, fresh.stdout, fresh.stderr) == result, argv
 
 
 def test_unknown_subcommand_is_usage_error(capsys):
@@ -115,6 +141,52 @@ def test_progression_census_rejects_bad_modulus(capsys, modulus):
     assert code == 1
     assert out == ""
     assert err.startswith("error:")
+
+
+@pytest.mark.parametrize("extra", [("--residues", "1,3", "--modulus", "8"), ("--residues", "1,3")])
+def test_progression_census_rejects_D_with_residues(capsys, extra):
+    code, out, err = run_cli(capsys, "progression", "census", "--D", "24", *extra)
+    assert code == 1
+    assert out == ""
+    assert err.startswith("error:") and "--D" in err and "--residues" in err
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ("density", "--primes", ",3"),
+        ("density", "--primes", "3,,5"),
+        ("density", "--primes", "3,5,7", "--partition", "3,|5,7"),
+        ("progression", "census", "--residues", "1,3,", "--modulus", "8"),
+        ("progression", "derive", "--classes", "0:2,0:3,1:4,3:8,7:12,23:24", "--primes", ""),
+    ],
+)
+def test_empty_list_item_is_domain_error(capsys, argv):
+    code, out, err = run_cli(capsys, *argv)
+    assert code == 1
+    assert out == ""
+    assert err.startswith("error:") and "empty item" in err
+
+
+def test_primes_and_match_modulus_are_exclusive(capsys):
+    code, out, err = run_cli(
+        capsys, "progression", "derive", "--classes", "0:2,0:3,1:4,3:8,7:12,23:24",
+        "--primes", "3,7,5,17,13,241", "--match-modulus", "11184810",
+    )
+    assert code == 1
+    assert out == ""
+    assert err.startswith("error:") and "--primes" in err and "--match-modulus" in err
+
+
+@pytest.mark.parametrize("primes", ["3,7,5,17,13", "3,7,5,17,13,241,31"])
+def test_prime_list_must_match_the_moduli(capsys, primes):
+    code, out, err = run_cli(
+        capsys, "progression", "derive",
+        "--classes", "0:2,0:3,1:4,3:8,7:12,23:24", "--primes", primes,
+    )
+    assert code == 1
+    assert out == ""
+    assert err.startswith("error:") and "for 6 moduli" in err
 
 
 @pytest.mark.parametrize("group,command", [("cover", "enumerate"), ("progression", "census")])

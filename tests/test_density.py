@@ -3,11 +3,12 @@ import math
 import random
 from fractions import Fraction
 
+import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from p2k.modcore import factorize, ord2, primes_up_to
+from p2k.modcore import euler_phi, factorize, ord2, primes_up_to
 from p2k.density import (
     TRIVIAL_CLUSTER,
     BoundResult,
@@ -24,6 +25,9 @@ from p2k.density import (
     run_estimate,
 )
 from p2k.density import (
+    _LN2_HI,
+    _LN2_LO,
+    _coprime_table,
     _cross_histogram_numpy,
     _cross_histogram_pure,
     _fits_numpy_windows,
@@ -318,7 +322,9 @@ def test_brute_force_backends_agree():
     assert _cross_histogram_pure(a, b) == _cross_histogram_numpy(a, b) == expected
 
 
-@pytest.mark.parametrize("M", [3, 15, 105, 1155])
+# ord2(3193) = 255 is the widest the oracle counts in uint8 (m = 0 reaches
+# nu = 255); ord2(269) = ord2(807) = 268 takes the int32 counter
+@pytest.mark.parametrize("M", [3, 15, 105, 1155, 3193, 269, 807])
 @pytest.mark.parametrize("engine", ["pure", "numpy"])
 def test_brute_force_equals_per_pair_gcd_loop(M, engine):
     # the per-pair gcd loop is the reference for the oracle and for each
@@ -348,6 +354,38 @@ def test_histogram_validation_catches_corruption():
     broken = DeltaHistogram(M=15, counts={**h.counts, 1: h.counts.get(1, 0) + 1})
     with pytest.raises(ValueError):
         broken.validate()
+
+
+def _per_nu_bound(hist, variant, order, phi):
+    """Reference for evaluate_bound: the lemma summed one nu at a time,
+    (upper, lower) with ln 2 from below and from above."""
+    M = hist.M
+    cap, numer = (Fraction(1, 2 * M), 1) if variant == "corrected" else (Fraction(1, M), 2)
+    denom = order * phi
+    upper = lower = Fraction(0)
+    for nu, count in hist.sorted_items():
+        upper += count * min(cap, Fraction(numer * nu) / (denom * _LN2_LO))
+        lower += count * min(cap, Fraction(numer * nu) / (denom * _LN2_HI))
+    return upper, lower
+
+
+PUBLISHED_SETS = [
+    (3,), (3, 5), (3, 5, 7), (3, 5, 7, 11), (3, 5, 7, 11, 13),
+    (3, 5, 7, 11, 13, 17), (3, 5, 7, 13, 17, 241), (3, 5, 7, 11, 17, 19),
+    (3, 5, 7, 11, 17, 19, 29),
+]
+
+
+@pytest.mark.parametrize(
+    "primes", PUBLISHED_SETS + [(3, 5, 7, 11, 13, 17, 19, 31, 41, 73, 241)],
+    ids=lambda primes: ",".join(map(str, primes)),
+)
+@pytest.mark.parametrize("variant", ["corrected", "printed"])
+def test_evaluate_bound_equals_per_nu_loop(primes, variant):
+    r = run_estimate(primes, variant=variant)
+    assert (r.bound_upper, r.bound_lower) == _per_nu_bound(
+        r.histogram, variant, r.order, r.phi
+    )
 
 
 def test_bound_for_3_is_exactly_half():
@@ -505,15 +543,34 @@ def _odd_squarefree_products(limit, max_primes):
     return sorted(out)
 
 
-def test_oracle_equivalence_sweep():
+def _oracle_sweep():
     # complete sweep at small scale plus seeded larger samples; the full
     # 10^5 sweep is identical work at an hour-scale runtime
     small = _odd_squarefree_products(600, 4)
     rng = random.Random(23205)
     large_pool = [m for m in _odd_squarefree_products(30000, 4) if m > 600]
-    sample = rng.sample(large_pool, 12)
-    for M in small + sample:
+    return small + rng.sample(large_pool, 12)
+
+
+def test_oracle_equivalence_sweep():
+    for M in _oracle_sweep():
         cluster = TRIVIAL_CLUSTER
         for p, _ in factorize(M):
             cluster = merge(cluster, prime_cluster(p))
         assert histogram_of(cluster).counts == brute_force_delta(M).counts, M
+
+
+def test_evaluate_bound_equals_per_nu_loop_on_the_oracle_sweep():
+    for M in _oracle_sweep():
+        hist = brute_force_delta(M)
+        for variant in ("corrected", "printed"):
+            r = evaluate_bound(hist, variant=variant)
+            expected = _per_nu_bound(hist, variant, ord2(M), euler_phi(M))
+            assert (r.bound_upper, r.bound_lower) == expected, (M, variant)
+
+
+def test_sieved_coprime_table_equals_gcd_table_on_the_oracle_sweep():
+    for M in _oracle_sweep():
+        sieved = _coprime_table(M, [p for p, _ in factorize(M)])
+        assert sieved.dtype == np.uint8
+        assert np.array_equal(sieved, np.gcd(np.arange(M), M) == 1), M

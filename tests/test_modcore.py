@@ -17,6 +17,7 @@ from p2k.modcore import (
     is_prime,
     mersenne_prime_divisors,
     ord2,
+    period_mask,
     pow2_mod,
     primes_up_to,
     primitive_mersenne_divisors,
@@ -294,6 +295,12 @@ def _kernel_cases():
         start = rng.getrandbits(T) & rng.getrandbits(T)
         cases.append((moduli, T, start))
     return cases
+
+
+def test_period_mask_equals_bit_loop():
+    for T in list(range(1, 121)) + [360, 10920]:
+        for d in divisors(T):
+            assert period_mask(d, T) == sum(1 << x for x in range(0, T, d)), (d, T)
 
 
 def test_class_cover_search_equals_brute_force():
