@@ -112,10 +112,12 @@ class PrimeAssignment:
 class EnumerationReport:
     """All minimal CDL covering systems with lcm of moduli exactly D.
 
-    Each entry carries the system, one canonical prime assignment, and the
-    supported progression (a, M).  distinct_progression_count counts the
-    distinct (a, M) values (two systems differing only in a modulus-3 vs
-    modulus-6 class can support the same progression).
+    Each entry carries the system, the canonical prime assignment of its
+    moduli (the first that iter_prime_assignments yields, the same search
+    that admitted the modulus tuple), and the supported progression (a, M).
+    distinct_progression_count counts the distinct (a, M) values (two
+    systems differing only in a modulus-3 vs modulus-6 class can support
+    the same progression).
     """
 
     D: int
@@ -224,93 +226,45 @@ def is_minimal(c: CoveringSystem) -> bool:
     return union == full and _each_essential(masks, full)
 
 
-def _assignment_exists(candidates: list[list[int]]) -> bool:
-    """Bipartite matching feasibility: one distinct prime per modulus slot."""
-    order = sorted(range(len(candidates)), key=lambda i: len(candidates[i]))
-    match: dict[int, int] = {}  # prime -> slot
-
-    def augment(slot: int, seen: set[int]) -> bool:
-        for p in candidates[slot]:
-            if p in seen:
-                continue
-            seen.add(p)
-            if p not in match or augment(match[p], seen):
-                match[p] = slot
-                return True
-        return False
-
-    for slot in order:
-        if not augment(slot, set()):
-            return False
-    return True
-
-
 def iter_prime_assignments(moduli):
-    """Yield every injective assignment d -> p | 2^d - 1 as a PrimeAssignment.
+    """Yield every injective assignment d -> p | 2^d - 1 as a PrimeAssignment,
+    in lexicographic order of the (d, p) pairs.
 
-    Moduli must be distinct, each >= 2 with 2^d - 1 within factorize's
-    range; ValueError otherwise.
+    Depth first: the moduli in ascending order, each trying its primes in
+    ascending order and skipping those already used, so the first yield is
+    canonical_assignment.  Moduli must be distinct, each >= 2 with 2^d - 1
+    within factorize's range; ValueError otherwise.
     """
-    mods = list(moduli)
+    mods = sorted(moduli)
     if len(set(mods)) != len(mods):
         raise ValueError(f"moduli must be distinct, got {mods}")
     candidates = [mersenne_prime_divisors(d) for d in mods]
-    order = sorted(range(len(mods)), key=lambda i: len(candidates[i]))
-    chosen: dict[int, int] = {}
-    used: set[int] = set()
+    chosen: list[int] = []
 
-    def rec(pos: int):
-        if pos == len(order):
-            yield PrimeAssignment.from_pairs(
-                (mods[i], chosen[i]) for i in range(len(mods))
-            )
+    def rec(i: int):
+        if i == len(mods):
+            yield PrimeAssignment(tuple(zip(mods, chosen)))
             return
-        i = order[pos]
         for p in candidates[i]:
-            if p in used:
-                continue
-            used.add(p)
-            chosen[i] = p
-            yield from rec(pos + 1)
-            used.discard(p)
-            del chosen[i]
+            if p not in chosen:
+                chosen.append(p)
+                yield from rec(i + 1)
+                chosen.pop()
 
     yield from rec(0)
 
 
 def find_prime_assignments(moduli) -> list[PrimeAssignment]:
-    """All injective assignments for the given distinct moduli (may be empty)."""
+    """All injective assignments for the given distinct moduli, in
+    lexicographic order (may be empty)."""
     return list(iter_prime_assignments(moduli))
 
 
 def canonical_assignment(moduli) -> PrimeAssignment | None:
-    """Lexicographically smallest assignment by (modulus, prime), or None.
-
-    Greedy: for each modulus in ascending order take the smallest unused
-    candidate prime that still leaves the rest matchable.
-    """
-    mods = sorted(moduli)
-    candidates = {d: mersenne_prime_divisors(d) for d in mods}
-    used: set[int] = set()
-    pairs = []
-    for i, d in enumerate(mods):
-        rest = mods[i + 1 :]
-        found = None
-        for p in candidates[d]:
-            if p in used:
-                continue
-            remaining = [
-                [q for q in candidates[dd] if q not in used and q != p]
-                for dd in rest
-            ]
-            if _assignment_exists(remaining):
-                found = p
-                break
-        if found is None:
-            return None
-        used.add(found)
-        pairs.append((d, found))
-    return PrimeAssignment.from_pairs(pairs)
+    """The lexicographically least assignment by (modulus, prime): the first
+    that iter_prime_assignments yields, or None when there is none.
+    Repeated moduli raise ValueError."""
+    return next(iter_prime_assignments(moduli), None)
 
 
 def cdl_progression_residue(system: CoveringSystem, assignment: PrimeAssignment) -> tuple[int, int]:
@@ -370,8 +324,8 @@ def enumerate_cdl_systems(D: int) -> EnumerationReport:
 
     Screens D by the divisor-density necessary condition (sum of 1/d over
     d | D must exceed 2), then selects modulus tuples from the divisors of
-    D with density sum > 1, lcm exactly D, and an existing distinct-prime
-    assignment.  For each tuple:
+    D with density sum > 1, lcm exactly D, and a distinct-prime assignment,
+    which canonical_assignment both checks and supplies.  For each tuple:
 
     * Translation quotient.  x -> x + r maps minimal coverings with these
       moduli to minimal coverings, and every system is the shift of exactly
@@ -408,17 +362,17 @@ def enumerate_cdl_systems(D: int) -> EnumerationReport:
     # for every d | D that the tuple search asks for
     mersenne_prime_divisors(D)
 
-    # modulus tuples: subsets with sum 1/d > 1, lcm exactly D, assignment ok
-    tuples: list[tuple[int, ...]] = []
+    # modulus tuples: subsets with sum 1/d > 1, lcm exactly D and an
+    # assignment, each kept with its canonical assignment
+    tuples: list[tuple[tuple[int, ...], PrimeAssignment]] = []
 
     def pick(idx: int, subset: list[int], weight: int, rest_weight: int, lcm: int):
         # weight counts sum of D/d so far; need strict > D at the end
         if idx == len(divs):
             if weight > D and lcm == D:
-                subset_t = tuple(subset)
-                cands = [mersenne_prime_divisors(d) for d in subset_t]
-                if _assignment_exists(cands):
-                    tuples.append(subset_t)
+                asg = canonical_assignment(subset)
+                if asg is not None:
+                    tuples.append((tuple(subset), asg))
             return
         if weight + rest_weight <= D:
             return  # cannot reach density 1 even taking everything
@@ -433,9 +387,7 @@ def enumerate_cdl_systems(D: int) -> EnumerationReport:
 
     systems = []
     progressions = []
-    for mods in sorted(tuples):
-        asg = canonical_assignment(mods)
-        assert asg is not None  # subset was pre-screened for matchability
+    for mods, asg in sorted(tuples, key=lambda t: t[0]):
         for residues in _minimal_coverings(mods, D):
             system = CoveringSystem(
                 tuple(CongruenceCondition(a, d) for a, d in zip(residues, mods)), D

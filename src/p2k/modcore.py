@@ -33,11 +33,14 @@ _MR_WINDOWS = (
 _MR_LIMIT = _MR_WINDOWS[-1][0]
 
 _SMALL_PRIME_LIMIT = 10**5
-# Pollard-Brent iterations factorize spends on one cofactor before refusing
-# it.  Rho finds a prime p after some sqrt(p) iterations, and a composite
-# below psi_12 has one below 5.7e11, so the budget leaves room for those; it
-# also bounds the refusal of a prime above psi_12, which no iteration count
-# splits or certifies (2^89 - 1: about 1.5 s on a 2-core Xeon).
+# Pollard-Brent iterations factorize spends on one cofactor of up to 79 bits
+# (psi_12's size) before refusing it.  Rho finds a prime p after some
+# sqrt(p) iterations, and a composite below psi_12 has one below 5.7e11, so
+# the budget leaves room for those; it also bounds the refusal of a prime
+# above psi_12, which no iteration count splits or certifies (2^89 - 1:
+# about 1 s on a 2-core Xeon).  A step costs at most about the square of
+# the cofactor's size, so a larger cofactor gets the budget divided by that
+# square, and refusing 2^607 - 1 takes no longer than refusing 2^89 - 1.
 _RHO_STEPS = 2**22
 
 
@@ -132,18 +135,21 @@ def _rho_divisor(n: int) -> int:
     power-of-two step, the differences multiplied together 128 at a time
     per gcd; a batch that jumps straight to gcd n is replayed one step at a
     time, and a walk that still meets n restarts with the next c.  Raises
-    ValueError once _RHO_STEPS iterations have found no divisor: n is then
-    an uncertifiable prime or beyond the supported range.
+    ValueError once the budget, _RHO_STEPS scaled down by the square of n's
+    size past 79 bits, has found no divisor: n is then an uncertifiable
+    prime or beyond the supported range.
     """
+    size = max(n.bit_length(), _MR_LIMIT.bit_length())
+    budget = _RHO_STEPS * _MR_LIMIT.bit_length() ** 2 // size**2
     steps = 0
     for c in count(1):
         y, r, q, g = 2, 1, 1, 1
         while g == 1:
             steps += 2 * r  # r steps leave x behind, up to r compare with it
-            if steps > _RHO_STEPS:
+            if steps > budget:
                 raise ValueError(
                     f"{n.bit_length()}-bit cofactor not split or certified "
-                    f"within {_RHO_STEPS} Pollard-Brent steps"
+                    f"within {budget} Pollard-Brent steps"
                 )
             x = y
             for _ in range(r):
@@ -174,8 +180,8 @@ def factorize(n: int) -> list[tuple[int, int]]:
     is left.  Every factor returned is proven prime: below 10^10 because
     it has no prime factor below 10^5, above that by the deterministic
     Miller-Rabin of is_prime, so below psi_12.  Raises ValueError, after at
-    most _RHO_STEPS rho iterations per cofactor, when a cofactor can be
-    neither split nor certified.
+    most _RHO_STEPS rho iterations per cofactor (fewer past 79 bits, see
+    _rho_divisor), when a cofactor can be neither split nor certified.
     """
     if n < 1:
         raise ValueError(f"factorize requires n >= 1, got {n}")

@@ -154,21 +154,17 @@ def membership_in_U_is_certified(progression: CdlProgression) -> bool:
 
 
 def pair_gcd_census(progressions) -> tuple[int, int]:
-    """Over all unordered pairs of progressions sharing one modulus M,
-    count how many satisfy gcd(M, a_i - a_j) = 2.  M must be even and
+    """Over all unordered pairs of (a, M) progressions sharing one modulus
+    M, count how many satisfy gcd(M, a_i - a_j) = 2.  M must be even and
     >= 2, as every progression modulus 2 * prod p_i is."""
     progs = list(progressions)
     if not progs:
         return (0, 0)
-    m = progs[0].modulus if isinstance(progs[0], CdlProgression) else progs[0][1]
+    m = progs[0][1]
     if m < 2 or m % 2:
         raise ValueError(f"progression modulus must be even and >= 2, got {m}")
     residues = []
-    for p in progs:
-        if isinstance(p, CdlProgression):
-            a, mm = p.residue, p.modulus
-        else:
-            a, mm = p
+    for a, mm in progs:
         if mm != m:
             raise ValueError(f"mixed moduli: {mm} != {m}")
         residues.append(a)

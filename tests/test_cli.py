@@ -208,6 +208,16 @@ def test_unfactorable_D_is_domain_error(capsys):
     assert not re.search(r"\d{20}", err)  # no cofactor spelled out
 
 
+def test_unfactorable_b_is_domain_error(capsys):
+    # 2^521 - 1 is a prime above psi_12; its refusal budget shrinks with
+    # its size, so this returns in about a second, not after 2^22 steps
+    code, out, err = run_cli(capsys, "chen", "check", "--b", str(2 * (2**521 - 1)))
+    assert code == 1
+    assert out == ""
+    assert err.startswith("error:") and "521-bit cofactor" in err
+    assert len(err.splitlines()) == 1
+
+
 @pytest.mark.parametrize(
     "argv",
     [

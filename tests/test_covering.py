@@ -4,6 +4,7 @@ import random
 import pytest
 
 from conftest import MOD3_MODULI, MOD6_MODULI, TABLE_MOD3_ROWS, TABLE_MOD6_ROWS
+from mersenne_table import MERSENNE_FACTORS
 from p2k.catalog import CHEN_SYSTEM_2, ERDOS_ASSIGNMENT, ERDOS_SYSTEM
 from p2k.covering import (
     CoveringSystem,
@@ -89,12 +90,38 @@ def test_find_prime_assignments():
 def test_find_prime_assignments_rejects_duplicates():
     with pytest.raises(ValueError):
         find_prime_assignments([2, 2, 3])
+    with pytest.raises(ValueError, match="distinct"):
+        canonical_assignment([2, 3, 3])
 
 
 def test_canonical_assignment_is_lexicographically_least():
     asg = canonical_assignment([2, 3, 4, 8, 12, 24])
     assert asg.pairs == ((2, 3), (3, 7), (4, 5), (8, 17), (12, 13), (24, 241))
+    assert canonical_assignment([24, 12, 8, 4, 3, 2]) == asg  # any input order
     assert canonical_assignment([2, 3, 4, 6, 12]) is None
+
+
+@pytest.mark.parametrize("D", [24, 36, 48, 80])
+def test_assignments_equal_filtered_product(D):
+    # oracle: every tuple of candidate primes (from the sympy table) with
+    # distinct entries, sorted; the search must list exactly these, in
+    # this order, and its first is canonical_assignment
+    from p2k.modcore import divisors
+
+    divs = [d for d in divisors(D) if d >= 2]
+    for r in range(1, len(divs) + 1):
+        for mods in itertools.combinations(divs, r):
+            candidates = [[p for p, _ in MERSENNE_FACTORS[d]] for d in mods]
+            expected = sorted(
+                tuple(zip(mods, primes))
+                for primes in itertools.product(*candidates)
+                if len(set(primes)) == len(primes)
+            )
+            assert [a.pairs for a in find_prime_assignments(mods)] == expected, mods
+            first = canonical_assignment(mods)
+            assert (first.pairs if first else None) == (
+                expected[0] if expected else None
+            ), mods
 
 
 def test_enumerate_skips_low_divisor_density():

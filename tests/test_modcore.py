@@ -1,6 +1,7 @@
 import itertools
 import math
 import random
+import re
 
 import pytest
 from hypothesis import given, settings
@@ -8,6 +9,7 @@ from hypothesis import strategies as st
 
 from mersenne_table import MERSENNE_FACTORS
 from p2k.modcore import (
+    _RHO_STEPS,
     CongruenceCondition,
     class_cover_search,
     crt_solve,
@@ -199,6 +201,18 @@ def test_mersenne_range_errors():
     for bad in (1, 0, 89):
         with pytest.raises(ValueError):
             mersenne_prime_divisors(bad)
+
+
+@pytest.mark.parametrize("e", [521, 607, 1279])
+def test_rho_budget_shrinks_with_cofactor_size(e):
+    # Mersenne primes above psi_12 (79 bits): a rho step costs about the
+    # square of the size, so the budget shrinks by that square and no
+    # refusal does more work than that of a 79-bit cofactor
+    with pytest.raises(ValueError, match=f"{e}-bit cofactor") as info:
+        factorize(2**e - 1)
+    steps = int(re.search(r"within (\d+) ", str(info.value)).group(1))
+    assert steps * e**2 <= _RHO_STEPS * 79**2
+    assert steps * e**2 > _RHO_STEPS * 79**2 - e**2
 
 
 def test_factorizer_reproduces_the_sympy_table():
