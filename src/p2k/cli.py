@@ -20,8 +20,11 @@ def _parse_classes(text: str) -> covering.CoveringSystem:
     """Classes as 'a:d,a:d,...', e.g. '0:2,0:3,1:4,3:8,7:12,23:24'."""
     pairs = []
     for part in text.split(","):
-        a, d = part.split(":")
-        pairs.append((int(a), int(d)))
+        a, _, d = part.partition(":")
+        try:
+            pairs.append((int(a), int(d)))
+        except ValueError:
+            raise ValueError(f"class {part!r} in {text!r} is not a:d") from None
     return covering.CoveringSystem.from_pairs(pairs)
 
 
@@ -200,10 +203,12 @@ def _cmd_density(args) -> int:
     primes = _parse_ints(args.primes)
     partition = None
     if args.partition:
+        if args.partition.count("|") > 1:
+            raise ValueError(f"--partition {args.partition!r} has more than one '|'")
         left_text, _, right_text = args.partition.partition("|")
         # an empty half is the trivial part of a split
         partition = tuple(_parse_ints(t) if t else [] for t in (left_text, right_text))
-    result = density.run_estimate(primes, partition=partition, variant=args.variant)
+    result = density.run_estimate(primes, partition=partition)
     if args.oracle:
         M = result.M
         oracle = density.brute_force_delta(M)
@@ -222,7 +227,7 @@ def _cmd_density(args) -> int:
             f"primes={','.join(map(str, result.primes))} M={result.M} "
             f"ord2={result.order} phi={result.phi}"
         )
-        _emit(f"bound <= {result.decimal_upper()} ({result.variant}, rounded upward)")
+        _emit(f"bound <= {result.decimal_upper()} (corrected, rounded upward)")
     return 0
 
 
@@ -281,7 +286,6 @@ def build_parser() -> argparse.ArgumentParser:
     dens = sub.add_parser("density", help="certified upper bound on the density")
     dens.add_argument("--primes", required=True, help="comma list of odd primes")
     dens.add_argument("--partition", help="left|right comma lists, e.g. 3,5|7")
-    dens.add_argument("--variant", choices=density.VARIANTS, default="corrected")
     dens.add_argument("--oracle", action="store_true", help="brute-force cross-check")
     dens.add_argument("--emit", choices=("json", "csv", "table"), default="table")
     dens.set_defaults(func=_cmd_density)

@@ -284,11 +284,6 @@ def cdl_progression_residue(system: CoveringSystem, assignment: PrimeAssignment)
     return x, m
 
 
-def _divisor_harmonic_exceeds_two(D: int) -> bool:
-    # sum over d | D of 1/d > 2, exactly: sum of D/d > 2D, i.e. sigma(D) > 2D
-    return sum(D // d for d in divisors(D)) > 2 * D
-
-
 def _minimal_coverings(mods: tuple[int, ...], D: int) -> list[tuple[int, ...]]:
     """Residue tuples, one class per modulus of mods (ascending, lcm D), of
     every minimal covering of Z/D, sorted.
@@ -349,7 +344,11 @@ def enumerate_cdl_systems(D: int) -> EnumerationReport:
         raise ValueError(f"D must be >= 1, got D={D}")
     if D > 2**20:
         raise ValueError(f"D={D} out of supported enumeration range")
-    if not _divisor_harmonic_exceeds_two(D):
+    divs = [d for d in divisors(D) if d >= 2]
+    # total_rest = sigma(D) - D, so sum of 1/d over d | D exceeds 2 iff it
+    # exceeds D; pick's root prune is the same test
+    total_rest = sum(D // d for d in divs)
+    if total_rest <= D:
         return EnumerationReport(
             D=D,
             systems=(),
@@ -357,7 +356,6 @@ def enumerate_cdl_systems(D: int) -> EnumerationReport:
             distinct_progression_count=0,
             skip_reason=f"sum of 1/d over divisors of {D} does not exceed 2",
         )
-    divs = [d for d in divisors(D) if d >= 2]
     # raise early if 2^D - 1 cannot be factored; this also factors 2^d - 1
     # for every d | D that the tuple search asks for
     mersenne_prime_divisors(D)
@@ -382,7 +380,6 @@ def enumerate_cdl_systems(D: int) -> EnumerationReport:
         pick(idx + 1, subset, weight + D // d, rest_weight - D // d, math.lcm(lcm, d))
         subset.pop()
 
-    total_rest = sum(D // d for d in divs)
     pick(0, [], 0, total_rest, 1)
 
     systems = []

@@ -8,10 +8,7 @@ integers is then bounded above by
 
 a residue m mod M meets the representable numbers only inside one odd class
 mod 2M (density 1/(2M)), and only for exponents k in f_M(m), each worth at
-most a Brun-Titchmarsh portion of the primes.  The lemma is usually typeset
-with min(1/M, 2 nu / ...), which is identically twice this (it bounds the
-density among odd integers); that form stays available as the "printed"
-variant, but it cannot reproduce the known value 0.5 for M = 3.
+most a Brun-Titchmarsh portion of the primes.
 
 delta_M is computed exactly by the cluster pipeline: the value distribution
 of f_p for a prime p is the full set Z/ord_2(p)Z with multiplicity
@@ -64,13 +61,13 @@ from __future__ import annotations
 
 import json
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 from fractions import Fraction
 from functools import cached_property, reduce
 
 import numpy as _np
 
-from .modcore import euler_phi, factorize, is_prime, lcm_all, ord2
+from .modcore import euler_phi, factorize, is_prime, ord2
 
 ORACLE_LIMIT = 10**7
 
@@ -291,11 +288,11 @@ class DeltaHistogram:
     M: int
     counts: dict[int, int]
 
-    def validate(self, order: int | None = None, phi: int | None = None) -> None:
+    def validate(self) -> None:
         """Both mass identities: total count M, total nu-weighted count
         ord_2(M) * phi(M)."""
-        order = ord2(self.M) if order is None else order
-        phi = euler_phi(self.M) if phi is None else phi
+        order = ord2(self.M)
+        phi = euler_phi(self.M)
         total = sum(self.counts.values())
         if total != self.M:
             raise ValueError(f"counts sum to {total}, expected M = {self.M}")
@@ -499,8 +496,6 @@ def _ln2_bounds(terms: int = 200) -> tuple[Fraction, Fraction]:
 
 _LN2_LO, _LN2_HI = _ln2_bounds()
 
-VARIANTS = ("corrected", "printed")
-
 
 @dataclass(frozen=True)
 class BoundResult:
@@ -516,7 +511,6 @@ class BoundResult:
     order: int
     phi: int
     histogram: DeltaHistogram
-    variant: str
     bound_upper: Fraction
     bound_lower: Fraction
 
@@ -544,7 +538,8 @@ class BoundResult:
                 "bound": self.decimal_upper(),
                 "bound_exact": f"{self.bound_upper.numerator}/{self.bound_upper.denominator}",
                 "bound_lower_exact": f"{self.bound_lower.numerator}/{self.bound_lower.denominator}",
-                "variant": self.variant,
+                # the one lemma form, named for readers of earlier outputs
+                "variant": "corrected",
                 "rounding": "upward",
             },
             indent=2,
@@ -562,90 +557,58 @@ class BoundResult:
             histogram=DeltaHistogram(
                 M=d["M"], counts={nu: c for nu, c in d["histogram"]}
             ),
-            variant=d["variant"],
             bound_upper=Fraction(d["bound_exact"]),
             bound_lower=Fraction(d["bound_lower_exact"]),
         )
 
 
-def _capped_sum(items, cap_den: int, numer: int, denom: int, ln2: Fraction) -> Fraction:
-    """sum of count * min(1/cap_den, numer nu/(denom ln2)) over (nu, count).
+def _capped_sum(items, M: int, denom: int, ln2: Fraction) -> Fraction:
+    """sum of count * min(1/(2M), nu/(denom ln2)) over (nu, count).
 
     The Brun term is at most the cap exactly when
-    nu numer ln2.den cap_den <= denom ln2.num, that is when nu <= nu*, the
-    floor of denom ln2.num / (numer ln2.den cap_den).  Counts at nu > nu*
-    add count/cap_den, and those at nu <= nu* add count times a Brun term
-    linear in nu, so each side is one Fraction of an integer sum."""
-    nu_star = denom * ln2.numerator // (numer * ln2.denominator * cap_den)
+    nu ln2.den 2M <= denom ln2.num, that is when nu <= nu*, the floor of
+    denom ln2.num / (ln2.den 2M).  Counts at nu > nu* add count/(2M), and
+    those at nu <= nu* add count times a Brun term linear in nu, so each
+    side is one Fraction of an integer sum."""
+    nu_star = denom * ln2.numerator // (ln2.denominator * 2 * M)
     capped = sum(count for nu, count in items if nu > nu_star)
     weighted = sum(nu * count for nu, count in items if nu <= nu_star)
-    return Fraction(capped, cap_den) + Fraction(
-        numer * weighted * ln2.denominator, denom * ln2.numerator
+    return Fraction(capped, 2 * M) + Fraction(
+        weighted * ln2.denominator, denom * ln2.numerator
     )
 
 
-def evaluate_bound(
-    histogram: DeltaHistogram,
-    variant: str = "corrected",
-    primes: tuple[int, ...] | None = None,
-    partition: tuple[tuple[int, ...], tuple[int, ...]] | None = None,
-) -> BoundResult:
-    """Apply the density lemma to an exact histogram.
+def evaluate_bound(histogram: DeltaHistogram) -> BoundResult:
+    """Apply the density lemma to an exact histogram:
+    sum delta(nu) min(1/(2M), nu/(T phi ln 2)) with T = ord_2(M), where a
+    residue mod M is one odd class mod 2M of density 1/(2M).  M's primes, T
+    and phi come from factoring M.  All arithmetic is exact rational; ln 2
+    enters as a 200-term enclosure with the division directed so
+    bound_upper is a certified upper value.
 
-    The "corrected" default computes sum delta(nu) min(1/(2M), nu/(T phi ln 2)):
-    a residue mod M is one odd class mod 2M of density 1/(2M), and that form
-    reproduces every published table value.  The "printed" variant evaluates
-    the lemma exactly as typeset, min(1/M, 2 nu/(T phi log 2)), which is
-    identically twice the corrected value (it bounds the density among odd
-    integers).  All arithmetic is exact rational; ln 2 enters as a 200-term
-    enclosure with the division directed so bound_upper is a certified
-    upper value.
-
-    Only nu up to the threshold nu* = T phi ln 2 / (numer cap_den) (T =
-    ord_2(M), cap 1/cap_den) fall under the cap, so the histogram is split
-    there with one integer comparison per nu, separately for each end of
-    the ln 2 enclosure: each bound is the capped counts over cap_den plus
-    numer * sum(nu * count below nu*) / (T phi ln 2), two Fractions in all.
-    A nu exactly at the threshold adds the same value to either part, and
-    Fractions are canonical, so the rationals equal the per-nu sum.
+    Only nu up to the threshold nu* = T phi ln 2 / (2M) fall under the cap,
+    so the histogram is split there with one integer comparison per nu,
+    separately for each end of the ln 2 enclosure: each bound is the capped
+    counts over 2M plus sum(nu * count below nu*) / (T phi ln 2), two
+    Fractions in all.  A nu exactly at the threshold adds the same value to
+    either part, and Fractions are canonical, so the rationals equal the
+    per-nu sum.
     """
-    if variant not in VARIANTS:
-        raise ValueError(f"variant must be one of {VARIANTS}, got {variant!r}")
+    histogram.validate()
     M = histogram.M
-    if primes is not None:
-        order = lcm_all(ord2(p) for p in primes)
-        phi = 1
-        prod = 1
-        for p in primes:
-            phi *= p - 1
-            prod *= p
-        if prod != M:
-            raise ValueError(f"primes multiply to {prod}, histogram has M = {M}")
-    else:
-        primes = tuple(p for p, _ in factorize(M))
-        order = ord2(M)
-        phi = euler_phi(M)
-    histogram.validate(order=order, phi=phi)
-    if variant == "corrected":
-        cap_den, numer = 2 * M, 1
-    else:
-        cap_den, numer = M, 2
+    primes = tuple(p for p, _ in factorize(M))
+    order = ord2(M)
+    phi = euler_phi(M)
     items = histogram.counts.items()
-    denom = order * phi
-    upper = _capped_sum(items, cap_den, numer, denom, _LN2_LO)
-    lower = _capped_sum(items, cap_den, numer, denom, _LN2_HI)
-    if partition is None:
-        partition = (primes, ())
     return BoundResult(
-        primes=tuple(primes),
-        partition=partition,
+        primes=primes,
+        partition=(primes, ()),
         M=M,
         order=order,
         phi=phi,
         histogram=histogram,
-        variant=variant,
-        bound_upper=upper,
-        bound_lower=lower,
+        bound_upper=_capped_sum(items, M, order * phi, _LN2_LO),
+        bound_lower=_capped_sum(items, M, order * phi, _LN2_HI),
     )
 
 
@@ -671,11 +634,7 @@ def _half_cluster(primes) -> Cluster:
     return reduce(merge, clusters, TRIVIAL_CLUSTER)
 
 
-def run_estimate(
-    primes,
-    partition: tuple | None = None,
-    variant: str = "corrected",
-) -> BoundResult:
+def run_estimate(primes, partition: tuple | None = None) -> BoundResult:
     """Full pipeline: per-prime clusters, merge within each half, cross the
     halves into the histogram (cross_histogram picks its engine), and
     evaluate the bound."""
@@ -698,9 +657,4 @@ def run_estimate(
     cluster_l = _half_cluster(left)
     cluster_r = _half_cluster(right)
     hist = cross_histogram(cluster_l, cluster_r)
-    return evaluate_bound(
-        hist,
-        variant=variant,
-        primes=tuple(sorted(prime_list)),
-        partition=(left, right),
-    )
+    return replace(evaluate_bound(hist), partition=(left, right))

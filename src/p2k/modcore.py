@@ -294,34 +294,43 @@ def crt_solve(conditions: list[CongruenceCondition]) -> CongruenceCondition:
 
 
 @cache
-def _mersenne_primes(d: int) -> tuple[int, ...]:
+def _mersenne_primes(d: int) -> tuple[int, ...] | str:
     # the primes of 2^k - 1 for each proper divisor k of d, ascending, then
     # those of what is left of 2^d - 1 once they are divided out (a part of
     # the cyclotomic factor Phi_d(2)): each factorize call meets only new
     # primes, and 2^D - 1 is refused at its least k | D with 2^k - 1 out of
-    # range, so 2^1068 - 1 at 2^89 - 1 rather than after rho on 800 bits
+    # range, so 2^1068 - 1 at 2^89 - 1 rather than after rho on 800 bits.
+    # A refusal is returned as factorize's message, not raised: the cache
+    # keeps return values only, and a refusal costs a whole rho budget
     primes: set[int] = set()
     for k in divisors(d)[1:-1]:
-        primes.update(_mersenne_primes(k))
+        found = _mersenne_primes(k)
+        if isinstance(found, str):
+            return found
+        primes.update(found)
     rest = 2**d - 1
     for p in primes:
         while rest % p == 0:
             rest //= p
-    primes.update(p for p, _ in factorize(rest))
+    try:
+        primes.update(p for p, _ in factorize(rest))
+    except ValueError as exc:
+        return str(exc)
     return tuple(sorted(primes))
 
 
 def mersenne_prime_divisors(d: int) -> list[int]:
     """Distinct prime divisors of 2^d - 1, ascending, for d >= 2.
 
-    Raises ValueError when 2^d - 1 cannot be factored (see factorize).
+    Raises ValueError when 2^d - 1 cannot be factored (see factorize); the
+    refusal is remembered, so asking again for the same d raises at once.
     """
     if d < 2:
         raise ValueError(f"2^d - 1 has prime divisors only for d >= 2, got d={d}")
-    try:
-        return list(_mersenne_primes(d))
-    except ValueError as exc:
-        raise ValueError(f"cannot factor 2^{d} - 1: {exc}") from None
+    found = _mersenne_primes(d)
+    if isinstance(found, str):
+        raise ValueError(f"cannot factor 2^{d} - 1: {found}")
+    return list(found)
 
 
 def primitive_mersenne_divisors(d: int) -> list[int]:

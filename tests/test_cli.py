@@ -168,6 +168,29 @@ def test_empty_list_item_is_domain_error(capsys, argv):
     assert err.startswith("error:") and "empty item" in err
 
 
+@pytest.mark.parametrize(
+    "argv,named",
+    [
+        (("cover", "verify", "--classes", "1"), "'1'"),
+        (("cover", "verify", "--classes", "0:2,1:x"), "'1:x'"),
+        (("progression", "derive", "--classes", "0:2,1:3:4"), "'1:3:4'"),
+        (("density", "--primes", "3,5,7", "--partition", "3|5|7"), "'3|5|7'"),
+    ],
+)
+def test_malformed_classes_and_partition_are_domain_errors(capsys, argv, named):
+    code, out, err = run_cli(capsys, *argv)
+    assert code == 1
+    assert out == ""
+    assert err.startswith("error:") and named in err
+    assert len(err.splitlines()) == 1
+
+
+def test_density_variant_flag_is_a_usage_error(capsys):
+    code, out, _ = run_cli(capsys, "density", "--primes", "3", "--variant", "printed")
+    assert code == 2
+    assert out == ""
+
+
 def test_primes_and_match_modulus_are_exclusive(capsys):
     code, out, err = run_cli(
         capsys, "progression", "derive", "--classes", "0:2,0:3,1:4,3:8,7:12,23:24",

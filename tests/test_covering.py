@@ -125,10 +125,15 @@ def test_assignments_equal_filtered_product(D):
 
 
 def test_enumerate_skips_low_divisor_density():
-    for D in (6, 8, 10, 14, 16, 22):
-        report = enumerate_cdl_systems(D)
-        assert report.skip_reason is not None
-        assert report.systems == ()
+    # every D <= 2000 with sigma(D) <= 2D, the perfect 6, 28 and 496 included
+    for D in range(1, 2001):
+        sigma = sum(d for d in range(1, D + 1) if D % d == 0)
+        if sigma <= 2 * D:
+            report = enumerate_cdl_systems(D)
+            assert report.skip_reason == (
+                f"sum of 1/d over divisors of {D} does not exceed 2"
+            ), D
+            assert report.systems == ()
 
 
 def test_enumerate_rejects_d_beyond_factor_range():

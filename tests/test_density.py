@@ -1,6 +1,7 @@
 import itertools
 import math
 import random
+from dataclasses import replace
 from fractions import Fraction
 
 import numpy as np
@@ -356,16 +357,15 @@ def test_histogram_validation_catches_corruption():
         broken.validate()
 
 
-def _per_nu_bound(hist, variant, order, phi):
+def _per_nu_bound(hist, order, phi):
     """Reference for evaluate_bound: the lemma summed one nu at a time,
     (upper, lower) with ln 2 from below and from above."""
-    M = hist.M
-    cap, numer = (Fraction(1, 2 * M), 1) if variant == "corrected" else (Fraction(1, M), 2)
+    cap = Fraction(1, 2 * hist.M)
     denom = order * phi
     upper = lower = Fraction(0)
     for nu, count in hist.sorted_items():
-        upper += count * min(cap, Fraction(numer * nu) / (denom * _LN2_LO))
-        lower += count * min(cap, Fraction(numer * nu) / (denom * _LN2_HI))
+        upper += count * min(cap, Fraction(nu) / (denom * _LN2_LO))
+        lower += count * min(cap, Fraction(nu) / (denom * _LN2_HI))
     return upper, lower
 
 
@@ -376,16 +376,22 @@ PUBLISHED_SETS = [
 ]
 
 
+BOUND_SETS = PUBLISHED_SETS + [(3, 5, 7, 11, 13, 17, 19, 31, 41, 73, 241)]
+
+
 @pytest.mark.parametrize(
-    "primes", PUBLISHED_SETS + [(3, 5, 7, 11, 13, 17, 19, 31, 41, 73, 241)],
-    ids=lambda primes: ",".join(map(str, primes)),
+    "primes", BOUND_SETS, ids=lambda primes: "corrected-" + ",".join(map(str, primes))
 )
-@pytest.mark.parametrize("variant", ["corrected", "printed"])
-def test_evaluate_bound_equals_per_nu_loop(primes, variant):
-    r = run_estimate(primes, variant=variant)
-    assert (r.bound_upper, r.bound_lower) == _per_nu_bound(
-        r.histogram, variant, r.order, r.phi
-    )
+def test_evaluate_bound_equals_per_nu_loop(primes):
+    r = run_estimate(primes)
+    assert (r.bound_upper, r.bound_lower) == _per_nu_bound(r.histogram, r.order, r.phi)
+
+
+@pytest.mark.parametrize("primes", BOUND_SETS, ids=lambda primes: ",".join(map(str, primes)))
+def test_evaluate_bound_reads_everything_off_the_histogram(primes):
+    # the pipeline's result differs from the bare histogram's only in the split
+    r = run_estimate(primes)
+    assert evaluate_bound(r.histogram) == replace(r, partition=(r.primes, ()))
 
 
 def test_bound_for_3_is_exactly_half():
@@ -411,17 +417,6 @@ def test_bound_published_values():
         assert abs(float(r.bound_upper) - float(printed)) <= tol, primes
 
 
-def test_printed_variant_doubles_corrected():
-    r1 = run_estimate([3, 5, 7, 11], variant="corrected")
-    r2 = run_estimate([3, 5, 7, 11], variant="printed")
-    assert r2.bound_upper == 2 * r1.bound_upper
-
-
-def test_invalid_variant_rejected():
-    with pytest.raises(ValueError):
-        run_estimate([3], variant="best")
-
-
 def test_certified_direction_and_gap():
     r = run_estimate([3, 5, 7, 11, 13])
     assert r.bound_lower <= r.bound_upper
@@ -433,7 +428,7 @@ def test_decimal_upper_rounds_up():
     assert r.decimal_upper(3) == "0.500"
     fake = BoundResult(
         primes=(3,), partition=((3,), ()), M=3, order=2, phi=2,
-        histogram=brute_force_delta(3), variant="corrected",
+        histogram=brute_force_delta(3),
         bound_upper=Fraction(1, 3), bound_lower=Fraction(1, 3),
     )
     assert fake.decimal_upper(6) == "0.333334"
@@ -481,12 +476,6 @@ def test_dedup_conserves_mass():
         expected *= p
         assert sum(cluster.rows.values()) == expected
         cluster.validate()
-
-
-def test_evaluate_bound_checks_prime_product():
-    hist = brute_force_delta(15)
-    with pytest.raises(ValueError):
-        evaluate_bound(hist, primes=(3, 7))
 
 
 def test_bound_result_json_round_trip():
@@ -563,10 +552,9 @@ def test_oracle_equivalence_sweep():
 def test_evaluate_bound_equals_per_nu_loop_on_the_oracle_sweep():
     for M in _oracle_sweep():
         hist = brute_force_delta(M)
-        for variant in ("corrected", "printed"):
-            r = evaluate_bound(hist, variant=variant)
-            expected = _per_nu_bound(hist, variant, ord2(M), euler_phi(M))
-            assert (r.bound_upper, r.bound_lower) == expected, (M, variant)
+        r = evaluate_bound(hist)
+        expected = _per_nu_bound(hist, ord2(M), euler_phi(M))
+        assert (r.bound_upper, r.bound_lower) == expected, M
 
 
 def test_sieved_coprime_table_equals_gcd_table_on_the_oracle_sweep():

@@ -8,6 +8,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from mersenne_table import MERSENNE_FACTORS
+from p2k import modcore
 from p2k.modcore import (
     _RHO_STEPS,
     CongruenceCondition,
@@ -201,6 +202,21 @@ def test_mersenne_range_errors():
     for bad in (1, 0, 89):
         with pytest.raises(ValueError):
             mersenne_prime_divisors(bad)
+
+
+def test_mersenne_refusal_is_remembered(monkeypatch):
+    with pytest.raises(ValueError) as first:
+        mersenne_prime_divisors(1068)
+    calls = []
+    rho = modcore._rho_divisor
+    monkeypatch.setattr(modcore, "_rho_divisor", lambda n: calls.append(n) or rho(n))
+    with pytest.raises(ValueError) as again:
+        mersenne_prime_divisors(1068)
+    assert str(again.value) == str(first.value)
+    assert str(again.value).startswith("cannot factor 2^1068 - 1: 89-bit cofactor")
+    with pytest.raises(ValueError, match=r"cannot factor 2\^89 - 1"):
+        mersenne_prime_divisors(89)
+    assert calls == []
 
 
 @pytest.mark.parametrize("e", [521, 607, 1279])
