@@ -46,21 +46,41 @@ carries W = sum p * w over the row orbits in it, W / q on each member
 map is rotation-invariant, and dot(rot^s r, p) = dot(r, rot^-s p), so every
 member of a profile orbit meets the same nu-histogram against it: one
 side's orbit profiles, weighted W, are multiplied against every member
-profile of the other side, weighted W / q.  It is exact inside three
-windows: profile counts are at most max order / g and are summed in uint16
-(< 2^16); dot products are at most lcm(orders) and are formed in float32
-from nonnegative integer terms, so every partial sum is an exact integer
-(< 2^24); the weights one orbit profile meets are summed in float64 and
-total at most the other side's modulus part (< 2^52).  It runs when the
-row-count product is at least 2^18 and the pair fits all three windows.
-Every other pair takes the joint-orbit loop in Python ints, which is also
-the reference the numpy engine is tested against.
+profile of the other side, weighted W / q.
+
+A larger group folds further.  The row multiset of a half cluster is fixed
+by every affine map k -> u k + s of its exponent ring, u a unit: each prime
+contributes its full row and every co-singleton, a multiset that any
+bijection of Z/ord_2(p) fixes, and an affine map of Z/L reduces to one mod
+each ord_2(p).  Every unit mod g lifts to a unit mod L, so the side's
+weighted profile multiset is then fixed by AGL(1, Z/g), the maps
+r -> u r + s on profile entries.  Against a side so fixed, dot products are
+unchanged when both profiles are permuted together, so every profile of an
+affine orbit meets the same nu-histogram: the other side is multiplied as
+affine orbit representatives, each carrying its orbit's summed W, against
+every member profile of the fixed side.  The invariance is checked, not
+assumed: a side is folded only when every rotation orbit of the side it
+meets maps, under each generator of (Z/g)^x, onto a rotation orbit of equal
+weight.  Otherwise it keeps its rotation orbits, which is exact for any
+rotation-closed cluster; of the arrangements this leaves, the one with the
+fewest dot products runs.
+
+The numpy engine is exact inside three windows: profile counts are at most
+max order / g and are summed in uint16 (< 2^16); dot products are at most
+lcm(orders) and are formed in float32 from nonnegative integer terms, so
+every partial sum is an exact integer (< 2^24); the weights one orbit
+profile meets are summed in float64 and total at most the other side's
+modulus part (< 2^52).  It runs when the pair fits all three windows and
+the joint-orbit loop would walk at least 2^12 joint orbits.  Every other
+pair takes the joint-orbit loop in Python ints, which is also the reference
+the numpy engine is tested against.
 """
 
 from __future__ import annotations
 
 import json
 import math
+from collections import Counter
 from dataclasses import dataclass, replace
 from fractions import Fraction
 from functools import cached_property, reduce
@@ -75,6 +95,11 @@ ORACLE_LIMIT = 10**7
 _F64_EXACT_LIMIT = 1 << 52
 _U16_EXACT_LIMIT = 1 << 16
 _F32_EXACT_LIMIT = 1 << 24
+# the numpy cross's fixed cost (about 0.2 ms) outweighs the joint-orbit
+# loop below this many joint orbits: timed on the published fixtures and 130
+# random splits (2-core Xeon, numpy 2.4), the loop won every split under 600
+# and lost most above 10,000
+_NUMPY_MIN_JOINT_ORBITS = 1 << 12
 # the oracle's narrow counter (see brute_force_delta)
 _U8_EXACT_LIMIT = 1 << 8
 
@@ -319,9 +344,39 @@ def _masks_to_matrix(masks: list[int], words: int):
     return _np.frombuffer(buf, dtype="<u8").reshape(len(masks), words)
 
 
+def _profile_matrix(keys, g: int):
+    """The uint16 profiles behind big-endian byte keys, one row each."""
+    return _np.frombuffer(keys.tobytes(), dtype=">u2").reshape(-1, g)
+
+
+def _least_rotations(prof):
+    """(least rotation, period) of each row of a profile matrix over Z/g.
+
+    Rows are compared as big-endian bytes, whose order is the
+    lexicographic order of the counts; the least rotation comes back as
+    that byte key (numpy drops trailing zero bytes when comparing keys of
+    one width, which keeps both the order and equality)."""
+    g = prof.shape[1]
+    width = f"S{2 * g}"
+    # rotation s of a row is the window [s, s + g) of the row laid out twice
+    doubled = _np.empty((len(prof), 2 * g), dtype=">u2")
+    doubled[:, :g] = doubled[:, g:] = prof
+    rotations = [doubled[:, s : s + g].view(width)[:, 0] for s in range(g)]
+    best = rotations[0]
+    for key in rotations[1:]:
+        best = _np.where(key < best, key, best)
+    # a period divides g: try the divisors in descending order, so the
+    # least one wins
+    q = _np.full(len(prof), g, dtype=_np.int64)
+    for s in range(g - 1, 0, -1):
+        if g % s == 0:
+            q[rotations[s] == rotations[0]] = s
+    return best, q
+
+
 def _profile_orbits(cluster: Cluster, g: int):
     """The Z/g profiles of the orbit representatives, grouped by least
-    profile rotation: (least profiles as rows of a uint16 matrix, their
+    profile rotation: (least profiles as sorted big-endian byte keys, their
     periods q, their weights W = sum of p * w over the row orbits whose
     profiles lie in the profile orbit, in float64).
 
@@ -330,8 +385,7 @@ def _profile_orbits(cluster: Cluster, g: int):
     period p has a profile whose period q divides gcd(p, g), so the row
     orbit puts weight p * w / q on each of the q profile rotations.  The
     weights are integers below 2^52 (the caller's window), so their float64
-    sums are exact.  Profiles are compared as big-endian bytes, whose order
-    is the lexicographic order of the counts.
+    sums are exact.
     """
     order = cluster.order
     reps = list(cluster.orbits)
@@ -339,8 +393,7 @@ def _profile_orbits(cluster: Cluster, g: int):
         [cluster.periods[m] * w for m, w in cluster.orbits.items()], dtype=_np.float64
     )
     words = (order + 63) // 64
-    width = f"S{2 * g}"
-    least = _np.empty((len(reps), g), dtype=_np.uint16)
+    least = _np.empty(len(reps), dtype=f"S{2 * g}")
     periods = _np.empty(len(reps), dtype=_np.int64)
     chunk = max(1, (1 << 24) // max(order, 1))
     for lo in range(0, len(reps), chunk):
@@ -350,54 +403,120 @@ def _profile_orbits(cluster: Cluster, g: int):
             mat.view(_np.uint8), axis=1, bitorder="little"
         )[:, :order]
         prof = bits.reshape(len(sub), order // g, g).sum(axis=1, dtype=_np.uint16)
-        big_endian = prof.astype(">u2")
-        start = big_endian.view(width)[:, 0]
-        best = start.copy()
-        q = _np.full(len(sub), g, dtype=_np.int64)
-        for s in range(g - 1, 0, -1):
-            key = _np.roll(big_endian, -s, axis=1).view(width)[:, 0]
-            best = _np.where(key < best, key, best)
-            q[key == start] = s  # descending s: the least period wins
-        least[lo : lo + len(sub)] = _np.frombuffer(best.tobytes(), dtype=">u2").reshape(-1, g)
-        periods[lo : lo + len(sub)] = q
-    keys, first, inverse = _np.unique(
-        least, axis=0, return_index=True, return_inverse=True
-    )
-    return keys, periods[first], _np.bincount(inverse.reshape(-1), weights=weights)
+        least[lo : lo + len(sub)], periods[lo : lo + len(sub)] = _least_rotations(prof)
+    keys, first, inverse = _np.unique(least, return_index=True, return_inverse=True)
+    return keys, periods[first], _np.bincount(inverse, weights=weights)
+
+
+def _unit_generators(g: int) -> list[int]:
+    """Units mod g that generate (Z/g)^x, each the least unit not in the
+    group generated before it (7, 11 and 13 for g = 60)."""
+    gens: list[int] = []
+    group = {1}
+    for u in range(2, g):
+        if math.gcd(u, g) == 1 and u not in group:
+            gens.append(u)
+            # the group is abelian, so u adds the cosets H u, H u^2, ... of
+            # the group H so far, until one falls back into H
+            coset = group
+            while not (coset := {x * u % g for x in coset}) <= group:
+                group = group | coset
+    return gens
+
+
+def _affine_fold(least, weights, g: int):
+    """Group one side's profile rotation orbits by AGL(1, Z/g) orbit:
+    (representative keys, summed weights, whether the side is invariant).
+
+    A unit u maps a profile P to P(u r), a permutation of its entries; an
+    orbit's image under each generator of (Z/g)^x is looked up by its least
+    rotation in the sorted keys.  The side is invariant, its weighted
+    profile multiset fixed by every map r -> u r + s, exactly when every
+    image is found with the weight of the orbit it came from (an orbit and
+    its image have the same period, so equal W means equal weight per
+    member).  Each orbit joins the least-keyed orbit that the images reach
+    from it, always one of its own affine orbit; images not found are
+    skipped."""
+    prof = _profile_matrix(least, g)
+    index = _np.arange(len(least))
+    images = []
+    invariant = True
+    for u in _unit_generators(g):
+        image, _ = _least_rotations(prof[:, u * _np.arange(g) % g])
+        pos = _np.minimum(_np.searchsorted(least, image), len(least) - 1)
+        found = least[pos] == image
+        invariant = invariant and bool(found.all()) and bool(
+            (weights[pos] == weights).all()
+        )
+        images.append(_np.where(found, pos, index))
+    rep = index
+    while not _np.array_equal(
+        grown := reduce(_np.minimum, (rep[image] for image in images), rep), rep
+    ):
+        rep = grown
+    reps, inverse = _np.unique(rep, return_inverse=True)
+    return least[reps], _np.bincount(inverse, weights=weights), invariant
+
+
+def _cross_arrangement(a: Cluster, b: Cluster):
+    """The numpy cross as (orbit profiles as float32 rows, their weights,
+    member profiles as float32 columns, their weights).
+
+    One side gives orbit profiles and the other every member profile, each
+    at weight W / q of its rotation orbit.  The orbit side is folded to
+    affine orbit representatives when the member side is invariant, and
+    keeps its rotation orbits otherwise; of the two orientations, the one
+    with fewer dot products is taken."""
+    g = math.gcd(a.order, b.order)
+    sides = [_profile_orbits(c, g) for c in (a, b)]
+    folds = [_affine_fold(keys, weights, g) for keys, _, weights in sides]
+    arrangements = []
+    for x, y in ((0, 1), (1, 0)):
+        keys, _, weights = sides[x]
+        if folds[y][2]:  # the member side is invariant
+            keys, weights = folds[x][:2]
+        arrangements.append((len(keys) * int(sides[y][1].sum()), x, keys, weights))
+    _, x, keys, weights = min(arrangements, key=lambda arrangement: arrangement[0])
+    keys_m, q_m, w_m = sides[1 - x]
+    # the members of a profile orbit are its least profile rotated by s < q;
+    # with the orbits in descending period, those with q > s are a prefix
+    by_period = _np.argsort(-q_m, kind="stable")
+    q_m = q_m[by_period]
+    per_member = w_m[by_period] / q_m  # exact: q divides W < 2^52
+    prof_t = _profile_matrix(keys_m, g)[by_period].T
+    doubled = _np.concatenate([prof_t, prof_t])
+    counts = [int(_np.count_nonzero(q_m > s)) for s in range(g)]
+    weights_m = _np.concatenate([per_member[:n] for n in counts])
+    members_t = _np.empty((g, len(weights_m)), dtype=_np.float32)
+    col = 0
+    for s, n in enumerate(counts):
+        members_t[:, col : col + n] = doubled[s : s + g, :n]
+        col += n
+    # uint16 counts are exact in float32
+    return _profile_matrix(keys, g).astype(_np.float32), weights, members_t, weights_m
 
 
 def _cross_histogram_numpy(a: Cluster, b: Cluster) -> dict[int, int]:
-    """Cross histogram of one side's profile orbits (weight W) against every
-    member profile of the other side (weight W / q).  Exact only inside the
-    windows that _fits_numpy_windows checks, which cross_histogram does
-    before choosing this engine.  The side expanded is the one that gives
-    fewer dot products."""
+    """Cross histogram of one side's orbit profiles (weight W) against every
+    member profile of the other side (weight W / q), as _cross_arrangement
+    lays them out.  Exact only inside the windows that _fits_numpy_windows
+    checks, which cross_histogram does before choosing this engine."""
     order = math.lcm(a.order, b.order)
-    g = math.gcd(a.order, b.order)
-    least_a, q_a, weights_a = _profile_orbits(a, g)
-    least_b, q_b, w_b = _profile_orbits(b, g)
-    if len(q_a) * q_b.sum() > len(q_b) * q_a.sum():
-        least_a, weights_a, least_b, q_b, w_b = least_b, w_b, least_a, q_a, weights_a
-    # the members of a profile orbit are its least profile rotated by s < q
-    members = _np.concatenate([_np.roll(least_b[q_b > s], -s, axis=1) for s in range(g)])
-    per_member = w_b / q_b  # exact: q divides W < 2^52
-    weights_b = _np.concatenate([per_member[q_b > s] for s in range(g)])
-    mat_a = least_a.astype(_np.float32)  # uint16 counts are exact in float32
-    prof_b_t = _np.ascontiguousarray(members.T.astype(_np.float32))
-    block = max(1, min(len(mat_a), (1 << 20) // max(len(weights_b), 1)))
-    dots = _np.empty((block, len(weights_b)), dtype=_np.float32)
-    nus = _np.empty((block, len(weights_b)), dtype=_np.int64)
+    rows, weights, members_t, weights_m = _cross_arrangement(a, b)
+    block = max(1, min(len(rows), (1 << 20) // max(len(weights_m), 1)))
+    dots = _np.empty((block, len(weights_m)), dtype=_np.float32)
+    nus = _np.empty((block, len(weights_m)), dtype=_np.int64)
     totals = [0] * (order + 1)
-    for lo in range(0, len(mat_a), block):
-        n = min(block, len(mat_a) - lo)
-        _np.matmul(mat_a[lo : lo + n], prof_b_t, out=dots[:n])
+    for lo in range(0, len(rows), block):
+        n = min(block, len(rows) - lo)
+        _np.matmul(rows[lo : lo + n], members_t, out=dots[:n])
         _np.copyto(nus[:n], dots[:n], casting="unsafe")
         for i in range(n):
-            hist = _np.bincount(nus[i], weights=weights_b, minlength=order + 1)
+            hist = _np.bincount(nus[i], weights=weights_m, minlength=order + 1)
             nz = _np.flatnonzero(hist)
-            w_a = int(weights_a[lo + i])
+            w = int(weights[lo + i])
             for nu, c in zip(nz.tolist(), hist[nz].astype(_np.int64).tolist()):
-                totals[nu] += w_a * c
+                totals[nu] += w * c
     return {nu: c for nu, c in enumerate(totals) if c}
 
 
@@ -421,19 +540,33 @@ def _fits_numpy_windows(a: Cluster, b: Cluster) -> bool:
     )
 
 
+def _joint_orbit_count(a: Cluster, b: Cluster) -> int:
+    """Joint rotation orbits the pure cross walks: gcd(p_a, p_b) summed
+    over every orbit pair, taken over the pairs of distinct periods."""
+    periods_a = Counter(a.periods.values())
+    periods_b = Counter(b.periods.values())
+    return sum(
+        n_a * n_b * math.gcd(p_a, p_b)
+        for p_a, n_a in periods_a.items()
+        for p_b, n_b in periods_b.items()
+    )
+
+
+def _cross_engine(a: Cluster, b: Cluster):
+    """The engine cross_histogram runs: numpy when the pair fits its three
+    exactness windows and the pure cross would walk at least
+    _NUMPY_MIN_JOINT_ORBITS joint orbits, the joint-orbit loop otherwise."""
+    if _fits_numpy_windows(a, b) and _joint_orbit_count(a, b) >= _NUMPY_MIN_JOINT_ORBITS:
+        return _cross_histogram_numpy
+    return _cross_histogram_pure
+
+
 def cross_histogram(a: Cluster, b: Cluster) -> DeltaHistogram:
     """Histogram of the merged cluster without materializing it: for every
     row pair, mult_a * mult_b is accumulated at nu = popcount of the
-    intersection.  Exact.  The numpy engine runs when the row-count product
-    is at least 2^18 and the pair fits its three exactness windows (weights
-    < 2^52 in float64, profile counts < 2^16 in uint16, intersection sizes
-    < 2^24 in float32); every other pair takes the joint-orbit loop in
-    Python ints."""
+    intersection.  Exact, by the engine _cross_engine picks."""
     _check_coprime(a, b)
-    if a.row_count() * b.row_count() >= 1 << 18 and _fits_numpy_windows(a, b):
-        counts = _cross_histogram_numpy(a, b)
-    else:
-        counts = _cross_histogram_pure(a, b)
+    counts = _cross_engine(a, b)(a, b)
     return DeltaHistogram(M=a.modulus_part * b.modulus_part, counts=counts)
 
 

@@ -25,14 +25,22 @@ from p2k.density import (
     prime_cluster,
     run_estimate,
 )
+from p2k import density
 from p2k.density import (
     _LN2_HI,
     _LN2_LO,
+    _affine_fold,
     _coprime_table,
+    _cross_arrangement,
+    _cross_engine,
     _cross_histogram_numpy,
     _cross_histogram_pure,
     _fits_numpy_windows,
     _half_cluster,
+    _joint_orbit_count,
+    _joint_orbits,
+    _profile_orbits,
+    _unit_generators,
 )
 
 
@@ -223,6 +231,12 @@ def test_cross_numpy_quotient_equals_pure_and_oracle(split):
     left, right = split
     a, b = _half_cluster(left), _half_cluster(right)
     order = math.lcm(a.order, b.order)
+    # every half cluster passes the invariance check, so the numpy engine
+    # below runs folded, never on the rotation-only fallback
+    g = math.gcd(a.order, b.order)
+    for c in (a, b):
+        keys, _, weights = _profile_orbits(c, g)
+        assert _affine_fold(keys, weights, g)[2]
     assert augment(a, order).rows == _lift_rows(a.rows, a.order, order)
     merged = merge(a, b)
     merged.validate()
@@ -243,6 +257,62 @@ def test_density_11_halves_expand_to_the_traced_row_counts():
     assert sum(a.rows.values()) == a.modulus_part
     assert sum(b.rows.values()) == b.modulus_part
     assert math.gcd(a.order, b.order) == 60
+
+
+def test_density_11_affine_fold_sizes():
+    # the rotation orbits of the profiles mod 60 fold to their AGL(1, Z/60)
+    # orbits, and the folded left half meets every member of the right
+    left, right = balance_partition((3, 5, 7, 11, 13, 17, 19, 31, 41, 73, 241))
+    a, b = _half_cluster(left), _half_cluster(right)
+    assert _unit_generators(60) == [7, 11, 13]
+    sizes = []
+    for c in (a, b):
+        keys, _, weights = _profile_orbits(c, 60)
+        reps, summed, invariant = _affine_fold(keys, weights, 60)
+        assert invariant
+        assert summed.sum() == weights.sum() == c.modulus_part
+        sizes.append((len(keys), len(reps)))
+    assert sizes == [(271, 94), (416, 209)]
+    rows, weights, members_t, weights_m = _cross_arrangement(a, b)
+    assert (len(rows), members_t.shape) == (94, (60, 19669))
+    assert len(rows) * members_t.shape[1] == 1_848_886
+    assert (weights.sum(), weights_m.sum()) == (a.modulus_part, b.modulus_part)
+
+
+def test_unit_generators_generate_the_unit_group():
+    for g in range(1, 181):
+        gens = _unit_generators(g)
+        units = {u % g for u in range(1, g + 1) if math.gcd(u, g) == 1}
+        group = {1 % g}
+        while (grown := group | {x * u % g for x in group for u in gens}) != group:
+            group = grown
+        assert group == units, g
+
+
+def test_rotation_closed_but_not_affine_invariant_falls_back():
+    # over Z/5 the unit 2 maps the orbit of {0, 1} onto that of {0, 2}, so
+    # weights 1 and 2 on them (plus a full row, which makes the masses 17
+    # and 19 coprime) give rotation-closed clusters that are not affine
+    # invariant; the modulus parts only label the masses
+    c = Cluster(17, 5, {0b11111: 2, 0b00011: 1, 0b00101: 2})
+    d = Cluster(19, 5, {0b11111: 4, 0b00011: 2, 0b00101: 1})
+    for x in (c, d):
+        keys, _, weights = _profile_orbits(x, 5)
+        assert not _affine_fold(keys, weights, 5)[2]
+    assert _cross_histogram_numpy(c, d) == _cross_histogram_pure(c, d) == _cross_rows(c, d)
+    # neither side may fold: each arrangement meets rotation orbits only
+    rows, _, members_t, _ = _cross_arrangement(c, d)
+    assert (len(rows), members_t.shape[1]) == (3, 11)
+    # the image of {0, 1} is missing altogether here, though the key it
+    # would sort before (the full row) has the same weight
+    e = Cluster(11, 5, {0b11111: 5, 0b00011: 1, 0: 1})
+    keys, _, weights = _profile_orbits(e, 5)
+    assert not _affine_fold(keys, weights, 5)[2]
+    assert _cross_histogram_numpy(e, d) == _cross_histogram_pure(e, d) == _cross_rows(e, d)
+    # facing an invariant side, a non-invariant one may still fold
+    p31 = prime_cluster(31)
+    assert _cross_histogram_numpy(c, p31) == _cross_histogram_pure(c, p31) == _cross_rows(c, p31)
+    assert _cross_histogram_numpy(p31, d) == _cross_histogram_pure(p31, d) == _cross_rows(p31, d)
 
 
 @pytest.mark.parametrize("primes", [(5, 7), (5, 13), (3, 7, 13)])
@@ -279,13 +349,15 @@ def test_cross_numpy_uint16_window():
     assert _cross_histogram_numpy(inside, TRIVIAL_CLUSTER) == {65532: 15}
 
 
-def test_cross_uint16_window_guards_the_default_path():
-    # 70001 x 4 rows pass the size rule, but profile counts reach 70000
+def test_cross_uint16_window_guards_the_default_path(monkeypatch):
+    # with the size rule admitting every pair, profile counts of 70000
+    # still keep this pair off the numpy engine
+    monkeypatch.setattr(density, "_NUMPY_MIN_JOINT_ORBITS", 0)
     full = (1 << 70000) - 1
     a = Cluster(70015, 70000, {full: 15, full >> 1: 1})
     b = prime_cluster(7)
-    assert a.row_count() * b.row_count() >= 1 << 18
     assert not _fits_numpy_windows(a, b)
+    assert _cross_engine(a, b) is _cross_histogram_pure
     expected = {139998: 210000, 140000: 45, 209997: 280000, 210000: 60}
     assert cross_histogram(a, b).counts == expected
     # unguarded, the numpy engine wraps every count in uint16
@@ -377,6 +449,23 @@ PUBLISHED_SETS = [
 
 
 BOUND_SETS = PUBLISHED_SETS + [(3, 5, 7, 11, 13, 17, 19, 31, 41, 73, 241)]
+
+
+@pytest.mark.parametrize(
+    "primes", BOUND_SETS, ids=lambda primes: ",".join(map(str, primes))
+)
+def test_cross_engine_of_the_published_sets(primes):
+    # every published fixture is cheaper in the joint-orbit loop; the
+    # 11-prime set walks 11,310,715 joint orbits and takes numpy
+    left, right = balance_partition(primes)
+    a, b = _half_cluster(left), _half_cluster(right)
+    count = _joint_orbit_count(a, b)
+    if len(primes) < 11:
+        assert sum(1 for _ in _joint_orbits(a, b, math.lcm(a.order, b.order))) == count
+        assert _cross_engine(a, b) is _cross_histogram_pure
+    else:
+        assert count == 11_310_715
+        assert _cross_engine(a, b) is _cross_histogram_numpy
 
 
 @pytest.mark.parametrize(
