@@ -9,7 +9,6 @@ from .modcore import (
     factorize,
     mersenne_prime_divisors,
     ord2,
-    pow2_mod,
     primitive_mersenne_divisors,
 )
 from .covering import (
@@ -35,7 +34,6 @@ from .chenscan import (
     ScanReport,
     check_even_modulus,
     find_witness,
-    residual_to_progressions,
     scan_range,
 )
 from .density import (

@@ -79,11 +79,6 @@ class ModulusVerdict:
             }
         )
 
-    @classmethod
-    def from_json(cls, text: str) -> "ModulusVerdict":
-        d = json.loads(text)
-        return cls(d["b"], d["covered"], d["m"], tuple(d["leftover"]))
-
 
 @dataclass
 class ScanReport:
@@ -153,14 +148,6 @@ def check_even_modulus(b: int) -> ModulusVerdict:
         two.bit_length() - 2 + ord2(b // two),
         _leftover(two, odd_factors, orders),
     )
-
-
-def residual_to_progressions(verdict: ModulusVerdict) -> list[tuple[int, int]]:
-    """Surviving odd residues as candidate progressions (a, b) for the
-    covering-system machinery to certify."""
-    if verdict.covered:
-        raise ValueError(f"b={verdict.b} is covered; no residual progressions")
-    return [(a, verdict.b) for a in verdict.leftover]
 
 
 # Common denominator of the sieved order weights.  Any N keeps the bound

@@ -42,8 +42,16 @@ def _emit(text: str):
         sys.stdout.write("\n")
 
 
+def _enumerate(D: int) -> covering.EnumerationReport:
+    """enumerate_cdl_systems(D), with a skipped D's reason noted on stderr."""
+    report = covering.enumerate_cdl_systems(D)
+    if report.skip_reason:
+        print(f"note: D={D} skipped ({report.skip_reason})", file=sys.stderr)
+    return report
+
+
 def _cmd_cover_enumerate(args) -> int:
-    report = covering.enumerate_cdl_systems(args.D)
+    report = _enumerate(args.D)
     if args.format == "json":
         _emit(report.to_json())
     elif args.format == "csv":
@@ -145,8 +153,7 @@ def _cmd_progression_census(args) -> int:
     if args.D is not None:
         if args.residues is not None or args.modulus is not None:
             raise ValueError("census takes either --D or --residues with --modulus, not both")
-        report = covering.enumerate_cdl_systems(args.D)
-        pairs = sorted(set(report.progressions))
+        pairs = sorted(set(_enumerate(args.D).progressions))
     else:
         if not args.residues or args.modulus is None:
             raise ValueError("census needs either --D or --residues with --modulus")

@@ -28,7 +28,6 @@ from .modcore import (
     class_cover_search,
     divisors,
     is_prime,
-    lcm_all,
     mersenne_prime_divisors,
     period_mask,
 )
@@ -36,19 +35,14 @@ from .modcore import (
 
 @dataclass(frozen=True)
 class CoveringSystem:
-    """Congruence classes with strictly increasing moduli, plus their lcm."""
+    """Congruence classes with strictly increasing moduli."""
 
     classes: tuple[CongruenceCondition, ...]
-    lcm_D: int
 
     def __post_init__(self):
         mods = [c.modulus for c in self.classes]
         if any(m2 <= m1 for m1, m2 in zip(mods, mods[1:])):
             raise ValueError(f"moduli must be strictly increasing, got {mods}")
-        if self.lcm_D != lcm_all(mods):
-            raise ValueError(
-                f"cached lcm {self.lcm_D} != lcm of moduli {lcm_all(mods)}"
-            )
 
     @classmethod
     def from_pairs(cls, pairs) -> "CoveringSystem":
@@ -59,7 +53,7 @@ class CoveringSystem:
                 raise ValueError(f"modulus must be >= 1, got {d}")
             conds.append(CongruenceCondition(a % d, d))
         conds.sort(key=lambda c: c.modulus)
-        return cls(tuple(conds), lcm_all(c.modulus for c in conds))
+        return cls(tuple(conds))
 
     @property
     def moduli(self) -> tuple[int, ...]:
@@ -68,6 +62,11 @@ class CoveringSystem:
     @property
     def residues(self) -> tuple[int, ...]:
         return tuple(c.residue for c in self.classes)
+
+    @property
+    def lcm_D(self) -> int:
+        """The lcm of the moduli, 1 for no classes."""
+        return math.lcm(*self.moduli)
 
 
 @dataclass(frozen=True)
@@ -101,12 +100,6 @@ class PrimeAssignment:
     def primes(self) -> tuple[int, ...]:
         return tuple(p for _, p in self.pairs)
 
-    def prime_for(self, d: int) -> int:
-        for dd, p in self.pairs:
-            if dd == d:
-                return p
-        raise KeyError(d)
-
 
 @dataclass(frozen=True)
 class EnumerationReport:
@@ -115,16 +108,18 @@ class EnumerationReport:
     Each entry carries the system, the canonical prime assignment of its
     moduli (the first that iter_prime_assignments yields, the same search
     that admitted the modulus tuple), and the supported progression (a, M).
-    distinct_progression_count counts the distinct (a, M) values (two
-    systems differing only in a modulus-3 vs modulus-6 class can support
-    the same progression).
     """
 
     D: int
     systems: tuple[tuple[CoveringSystem, PrimeAssignment], ...]
     progressions: tuple[tuple[int, int], ...]  # (a, M) per system, same order
-    distinct_progression_count: int
     skip_reason: str | None = None
+
+    @property
+    def distinct_progression_count(self) -> int:
+        """The number of distinct (a, M) values: two systems differing only
+        in a modulus-3 vs modulus-6 class can support the same progression."""
+        return len(set(self.progressions))
 
     def to_json(self) -> str:
         payload = {
@@ -142,24 +137,6 @@ class EnumerationReport:
         if self.skip_reason is not None:
             payload["skip_reason"] = self.skip_reason
         return json.dumps(payload, indent=2)
-
-    @classmethod
-    def from_json(cls, text: str) -> "EnumerationReport":
-        data = json.loads(text)
-        systems = []
-        progressions = []
-        for entry in data["systems"]:
-            sys = CoveringSystem.from_pairs((a, d) for a, d in entry["classes"])
-            asg = PrimeAssignment.from_pairs((d, p) for d, p in entry["assignment"])
-            systems.append((sys, asg))
-            progressions.append(tuple(entry["progression"]))
-        return cls(
-            D=data["D"],
-            systems=tuple(systems),
-            progressions=tuple(progressions),
-            distinct_progression_count=data["distinct_progression_count"],
-            skip_reason=data.get("skip_reason"),
-        )
 
     def to_csv(self) -> str:
         """One column per covering-class modulus (ascending), final column
@@ -232,13 +209,14 @@ def iter_prime_assignments(moduli):
 
     Depth first: the moduli in ascending order, each trying its primes in
     ascending order and skipping those already used, so the first yield is
-    canonical_assignment.  Moduli must be distinct, each >= 2 with 2^d - 1
-    within factorize's range; ValueError otherwise.
+    canonical_assignment.  Moduli must be distinct, each >= 1 with 2^d - 1
+    within factorize's range; ValueError otherwise.  2^1 - 1 has no prime
+    divisor, so moduli with a 1 among them yield nothing.
     """
     mods = sorted(moduli)
     if len(set(mods)) != len(mods):
         raise ValueError(f"moduli must be distinct, got {mods}")
-    candidates = [mersenne_prime_divisors(d) for d in mods]
+    candidates = [[] if d == 1 else mersenne_prime_divisors(d) for d in mods]
     chosen: list[int] = []
 
     def rec(i: int):
@@ -353,7 +331,6 @@ def enumerate_cdl_systems(D: int) -> EnumerationReport:
             D=D,
             systems=(),
             progressions=(),
-            distinct_progression_count=0,
             skip_reason=f"sum of 1/d over divisors of {D} does not exceed 2",
         )
     # raise early if 2^D - 1 cannot be factored; this also factors 2^d - 1
@@ -387,15 +364,12 @@ def enumerate_cdl_systems(D: int) -> EnumerationReport:
     for mods, asg in sorted(tuples, key=lambda t: t[0]):
         for residues in _minimal_coverings(mods, D):
             system = CoveringSystem(
-                tuple(CongruenceCondition(a, d) for a, d in zip(residues, mods)), D
+                tuple(CongruenceCondition(a, d) for a, d in zip(residues, mods))
             )
             systems.append((system, asg))
             progressions.append(cdl_progression_residue(system, asg))
     return EnumerationReport(
-        D=D,
-        systems=tuple(systems),
-        progressions=tuple(progressions),
-        distinct_progression_count=len(set(progressions)),
+        D=D, systems=tuple(systems), progressions=tuple(progressions)
     )
 
 

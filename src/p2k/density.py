@@ -58,12 +58,12 @@ r -> u r + s on profile entries.  Against a side so fixed, dot products are
 unchanged when both profiles are permuted together, so every profile of an
 affine orbit meets the same nu-histogram: the other side is multiplied as
 affine orbit representatives, each carrying its orbit's summed W, against
-every member profile of the fixed side.  The invariance is checked, not
-assumed: a side is folded only when every rotation orbit of the side it
-meets maps, under each generator of (Z/g)^x, onto a rotation orbit of equal
-weight.  Otherwise it keeps its rotation orbits, which is exact for any
-rotation-closed cluster; of the arrangements this leaves, the one with the
-fewest dot products runs.
+every member profile of the fixed side, in whichever orientation forms
+fewer dot products.  The invariance is checked, not assumed: each side's
+rotation orbits must map, under each generator of (Z/g)^x, onto rotation
+orbits of equal weight.  A pair failing the check on either side takes the
+joint-orbit loop, which is exact for any rotation-closed cluster; every
+product of prime clusters passes it.
 
 The numpy engine is exact inside three windows: profile counts are at most
 max order / g and are summed in uint16 (< 2^16); dot products are at most
@@ -87,7 +87,7 @@ from functools import cached_property, reduce
 
 import numpy as _np
 
-from .modcore import euler_phi, factorize, is_prime, ord2
+from .modcore import euler_phi, factorize, is_prime, ord2, period_mask
 
 ORACLE_LIMIT = 10**7
 
@@ -155,26 +155,6 @@ class Cluster:
     order: int
     orbits: dict[int, int]
 
-    @classmethod
-    def from_rows(cls, modulus_part: int, order: int, rows: dict[int, int]) -> "Cluster":
-        """The cluster of a full row -> multiplicity map; ValueError unless
-        the map is a union of whole rotation orbits, each with one
-        multiplicity."""
-        orbits: dict[int, int] = {}
-        members: dict[int, int] = {}
-        periods: dict[int, int] = {}
-        for mask, mult in rows.items():
-            if not 0 <= mask < 1 << order:
-                raise ValueError("row outside the ambient exponent ring")
-            least, periods[least] = _canonical(mask, order)
-            if orbits.setdefault(least, mult) != mult:
-                raise ValueError(f"rotations of row {least:#x} differ in multiplicity")
-            members[least] = members.get(least, 0) + 1
-        for least, count in members.items():
-            if count != periods[least]:
-                raise ValueError(f"rotation orbit of row {least:#x} is incomplete")
-        return cls(modulus_part, order, orbits)
-
     @cached_property
     def periods(self) -> dict[int, int]:
         """Orbit size of each stored row."""
@@ -232,33 +212,20 @@ def prime_cluster(p: int) -> Cluster:
     return Cluster(modulus_part=p, order=order, orbits={full: p - order, full >> 1: 1})
 
 
-def _lift_mask(mask: int, order: int, target: int) -> int:
-    """Inverse image of a subset of Z/order under Z/target -> Z/order."""
-    if target == order:
-        return mask
-    pattern = mask
-    width = order
-    while width < target:
-        pattern |= pattern << width
-        width <<= 1
-    return pattern & ((1 << target) - 1)
-
-
 def augment(cluster: Cluster, target_order: int) -> Cluster:
     """Lift every row to the larger exponent ring Z/target_order; bit a
-    becomes bits a + k*order for k = 0 .. target_order/order - 1.  The lift
-    commutes with rotation and keeps the order of ints, so each orbit's
-    least rotation lifts to the least rotation of its lifted orbit."""
+    becomes bits a + k*order for k = 0 .. target_order/order - 1, which is
+    the row times period_mask(order, target_order).  The lift commutes with
+    rotation and keeps the order of ints, so each orbit's least rotation
+    lifts to the least rotation of its lifted orbit."""
     if target_order % cluster.order != 0:
         raise ValueError(
             f"target order {target_order} not a multiple of {cluster.order}"
         )
     if target_order == cluster.order:
         return cluster
-    orbits = {
-        _lift_mask(mask, cluster.order, target_order): mult
-        for mask, mult in cluster.orbits.items()
-    }
+    lift = period_mask(cluster.order, target_order)
+    orbits = {mask * lift: mult for mask, mult in cluster.orbits.items()}
     return Cluster(cluster.modulus_part, target_order, orbits)
 
 
@@ -273,13 +240,12 @@ def _joint_orbits(a: Cluster, b: Cluster, order: int):
     """Yield (c, w) for each joint rotation orbit of a pair of rows lifted
     to Z/order: c = a & rot^s b for s < gcd(p_a, p_b), and w the summed
     multiplicity w_a * w_b * lcm(p_a, p_b) of the orbit's pairs.  Lifting
-    keeps each orbit's period."""
-    items_b = []
-    for mask, mult in b.orbits.items():
-        lifted = _lift_mask(mask, b.order, order)
-        items_b.append((lifted | (lifted << order), b.periods[mask], mult))
+    keeps each orbit's period; b's rows are lifted to Z/2L, which lays the
+    row lifted to Z/L out twice, so rot^s is a shift and a mask."""
+    lift_a, lift_b = period_mask(a.order, order), period_mask(b.order, 2 * order)
+    items_b = [(mask * lift_b, b.periods[mask], mult) for mask, mult in b.orbits.items()]
     for mask, mult_a in a.orbits.items():
-        lifted = _lift_mask(mask, a.order, order)
+        lifted = mask * lift_a
         p_a = a.periods[mask]
         for doubled_b, p_b, mult_b in items_b:
             shifts = math.gcd(p_a, p_b)
@@ -460,23 +426,19 @@ def _affine_fold(least, weights, g: int):
 
 def _cross_arrangement(a: Cluster, b: Cluster):
     """The numpy cross as (orbit profiles as float32 rows, their weights,
-    member profiles as float32 columns, their weights).
+    member profiles as float32 columns, their weights), or None unless both
+    sides pass the affine-invariance check.
 
-    One side gives orbit profiles and the other every member profile, each
-    at weight W / q of its rotation orbit.  The orbit side is folded to
-    affine orbit representatives when the member side is invariant, and
-    keeps its rotation orbits otherwise; of the two orientations, the one
-    with fewer dot products is taken."""
+    One side gives its affine orbit representatives, weighted W, and the
+    other every member profile, at weight W / q of its rotation orbit; of
+    the two orientations, the one with fewer dot products is taken."""
     g = math.gcd(a.order, b.order)
     sides = [_profile_orbits(c, g) for c in (a, b)]
     folds = [_affine_fold(keys, weights, g) for keys, _, weights in sides]
-    arrangements = []
-    for x, y in ((0, 1), (1, 0)):
-        keys, _, weights = sides[x]
-        if folds[y][2]:  # the member side is invariant
-            keys, weights = folds[x][:2]
-        arrangements.append((len(keys) * int(sides[y][1].sum()), x, keys, weights))
-    _, x, keys, weights = min(arrangements, key=lambda arrangement: arrangement[0])
+    if not all(invariant for _, _, invariant in folds):
+        return None
+    x = min((0, 1), key=lambda x: len(folds[x][0]) * int(sides[1 - x][1].sum()))
+    keys, weights, _ = folds[x]
     keys_m, q_m, w_m = sides[1 - x]
     # the members of a profile orbit are its least profile rotated by s < q;
     # with the orbits in descending period, those with q > s are a prefix
@@ -499,10 +461,14 @@ def _cross_arrangement(a: Cluster, b: Cluster):
 def _cross_histogram_numpy(a: Cluster, b: Cluster) -> dict[int, int]:
     """Cross histogram of one side's orbit profiles (weight W) against every
     member profile of the other side (weight W / q), as _cross_arrangement
-    lays them out.  Exact only inside the windows that _fits_numpy_windows
-    checks, which cross_histogram does before choosing this engine."""
+    lays them out; a pair it cannot fold takes the joint-orbit loop.  Exact
+    only inside the windows that _fits_numpy_windows checks, which
+    cross_histogram does before choosing this engine."""
+    arrangement = _cross_arrangement(a, b)
+    if arrangement is None:
+        return _cross_histogram_pure(a, b)
+    rows, weights, members_t, weights_m = arrangement
     order = math.lcm(a.order, b.order)
-    rows, weights, members_t, weights_m = _cross_arrangement(a, b)
     block = max(1, min(len(rows), (1 << 20) // max(len(weights_m), 1)))
     dots = _np.empty((block, len(weights_m)), dtype=_np.float32)
     nus = _np.empty((block, len(weights_m)), dtype=_np.int64)
@@ -618,13 +584,11 @@ def brute_force_delta(M: int) -> DeltaHistogram:
     return DeltaHistogram(M=M, counts=counts)
 
 
-def _ln2_bounds(terms: int = 200) -> tuple[Fraction, Fraction]:
-    """Rational enclosure of ln 2 from sum 1/(k 2^k); the tail after
-    `terms` summands is below 1/((terms+1) 2^terms)."""
-    s = Fraction(0)
-    for k in range(1, terms + 1):
-        s += Fraction(1, k * (1 << k))
-    return s, s + Fraction(1, (terms + 1) * (1 << terms))
+def _ln2_bounds() -> tuple[Fraction, Fraction]:
+    """Rational enclosure of ln 2 from the first 200 terms of
+    sum 1/(k 2^k); the tail after them is below 1/(201 * 2^200)."""
+    s = sum((Fraction(1, k << k) for k in range(1, 201)), Fraction(0))
+    return s, s + Fraction(1, 201 << 200)
 
 
 _LN2_LO, _LN2_HI = _ln2_bounds()
@@ -647,17 +611,10 @@ class BoundResult:
     bound_upper: Fraction
     bound_lower: Fraction
 
-    def decimal_upper(self, places: int = 15) -> str:
-        """The upper bound as a decimal string, rounded up at `places`."""
-        scaled = self.bound_upper * 10**places
-        n = scaled.numerator // scaled.denominator
-        if n * scaled.denominator != scaled.numerator:
-            n += 1
-        digits = str(n).rjust(places + 1, "0")
-        return digits[:-places] + "." + digits[-places:]
-
-    def __float__(self) -> float:
-        return float(self.bound_upper)
+    def decimal_upper(self) -> str:
+        """The upper bound as a decimal string, rounded up at 15 places."""
+        digits = str(math.ceil(self.bound_upper * 10**15)).rjust(16, "0")
+        return digits[:-15] + "." + digits[-15:]
 
     def to_json(self) -> str:
         return json.dumps(
@@ -676,22 +633,6 @@ class BoundResult:
                 "rounding": "upward",
             },
             indent=2,
-        )
-
-    @classmethod
-    def from_json(cls, text: str) -> "BoundResult":
-        d = json.loads(text)
-        return cls(
-            primes=tuple(d["primes"]),
-            partition=(tuple(d["partition"][0]), tuple(d["partition"][1])),
-            M=d["M"],
-            order=d["ord2"],
-            phi=d["phi"],
-            histogram=DeltaHistogram(
-                M=d["M"], counts={nu: c for nu, c in d["histogram"]}
-            ),
-            bound_upper=Fraction(d["bound_exact"]),
-            bound_lower=Fraction(d["bound_lower_exact"]),
         )
 
 

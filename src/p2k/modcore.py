@@ -11,7 +11,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from functools import cache, lru_cache, reduce
+from functools import cache, lru_cache
 from itertools import compress, count
 
 # Deterministic Miller-Rabin: the first k prime bases are proven exact for
@@ -58,9 +58,6 @@ class CongruenceCondition:
             raise ValueError(
                 f"residue {self.residue} not reduced modulo {self.modulus}"
             )
-
-    def contains(self, x: int) -> bool:
-        return x % self.modulus == self.residue
 
 
 def _check_odd_positive(n: int, what: str = "modulus") -> None:
@@ -228,15 +225,6 @@ def divisors(n: int) -> list[int]:
     return sorted(divs)
 
 
-def pow2_mod(k: int, m: int) -> int:
-    """2^k mod m by square-and-multiply (k >= 0, m >= 1)."""
-    if k < 0:
-        raise ValueError(f"exponent must be nonnegative, got {k}")
-    if m < 1:
-        raise ValueError(f"modulus must be >= 1, got {m}")
-    return pow(2, k, m)
-
-
 @cache
 def _ord2_prime(p: int) -> int:
     """Order of 2 modulo an odd prime p."""
@@ -341,18 +329,16 @@ def primitive_mersenne_divisors(d: int) -> list[int]:
     return [p for p in mersenne_prime_divisors(d) if _ord2_prime(p) == d]
 
 
-def lcm_all(values) -> int:
-    return reduce(math.lcm, values, 1)
-
-
 @lru_cache(maxsize=256)
 def period_mask(d: int, T: int) -> int:
     """Bits 0, d, 2d, ... below T, for d dividing T: the class 0 mod d in
-    Z/T, so the class c is period_mask(d, T) << c.  The pattern doubles its
-    width until it spans T, log2(T/d) big-int shifts (the quotient
-    (2^T - 1) // (2^d - 1) would be quadratic in large T).  The cache is
-    bounded: a Chen scan meets tens of thousands of (d, T) pairs, with T up
-    to 319,380 bits."""
+    Z/T.  So the class c is period_mask(d, T) << c (class_cover_search and
+    covering's class masks), and a row m of Z/d lifts to its inverse image
+    m * period_mask(d, T) in Z/T (density's row lifts; m < 2^d, so the
+    product has no carries).  The pattern doubles its width until it spans
+    T, log2(T/d) big-int shifts (the quotient (2^T - 1) // (2^d - 1) would
+    be quadratic in large T).  The cache is bounded: a Chen scan meets tens
+    of thousands of (d, T) pairs, with T up to 319,380 bits."""
     mask, width = 1, d
     while width < T:
         mask |= mask << width

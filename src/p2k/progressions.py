@@ -21,7 +21,7 @@ from .covering import (
     is_covering,
     iter_prime_assignments,
 )
-from .modcore import is_prime, lcm_all, ord2
+from .modcore import is_prime, ord2
 
 
 @dataclass(frozen=True)
@@ -54,7 +54,6 @@ class ExclusionCertificate:
     k_period: int
     verdict: bool
     witnesses: tuple[tuple[int, int], ...]
-    k_zero_excluded_by_parity: bool = True
 
     def to_json(self) -> str:
         return json.dumps(
@@ -100,7 +99,7 @@ def verify_excludes_primes(progression: CdlProgression) -> ExclusionCertificate:
     a = progression.residue
     m = progression.modulus
     primes = progression.assignment.primes
-    period = lcm_all(ord2(p) for p in primes)
+    period = math.lcm(*(ord2(p) for p in primes))
     # c + 2^k = a (mod M) iff 2^k hits (a - c) mod M: one set test per k
     targets = {(a - c) % m for c in primes}
     witnesses = []

@@ -10,7 +10,8 @@ import pytest
 import p2k
 from conftest import RESIDUES_48
 from p2k.cli import dispatch
-from p2k.covering import EnumerationReport
+from p2k.covering import enumerate_cdl_systems
+from p2k.density import run_estimate
 
 
 def run_cli(capsys, *argv):
@@ -57,8 +58,15 @@ def test_cover_enumerate_json(capsys):
     payload = json.loads(out)
     assert len(payload["systems"]) == 96
     assert payload["distinct_progression_count"] == 48
-    back = EnumerationReport.from_json(out)
-    assert len(back.systems) == 96
+    report = enumerate_cdl_systems(24)
+    assert payload["D"] == report.D
+    assert payload["distinct_progression_count"] == report.distinct_progression_count
+    for entry, (system, asg), progression in zip(
+        payload["systems"], report.systems, report.progressions
+    ):
+        assert entry["classes"] == [[c.residue, c.modulus] for c in system.classes]
+        assert entry["assignment"] == [list(pair) for pair in asg.pairs]
+        assert entry["progression"] == list(progression)
 
 
 def test_cover_enumerate_csv_header(capsys):
@@ -82,6 +90,37 @@ def test_cover_verify(capsys):
     payload = json.loads(out)
     assert payload["covering"] and payload["minimal"] and payload["cdl"]
     assert payload["lcm"] == 24
+
+
+def test_cover_verify_modulus_1(capsys):
+    # 0:1 alone covers Z, but 2^1 - 1 has no prime divisor
+    code, out, err = run_cli(capsys, "cover", "verify", "--classes", "0:1,1:2")
+    assert (code, err) == (0, "")
+    assert out == "covering=True minimal=False cdl=False assignments=0\n"
+    code, out, _ = run_cli(
+        capsys, "cover", "verify", "--classes", "0:1,1:2", "--format", "json"
+    )
+    assert code == 0
+    payload = json.loads(out)
+    assert (payload["lcm"], payload["cdl"], payload["assignments"]) == (2, False, [])
+
+
+def test_progression_derive_modulus_1_is_domain_error(capsys):
+    code, out, err = run_cli(capsys, "progression", "derive", "--classes", "0:1")
+    assert (code, out) == (1, "")
+    assert err == "error: no prime assignment exists for moduli (1,)\n"
+
+
+@pytest.mark.parametrize("argv, expected_out", [
+    (["cover", "enumerate", "--D", "6", "--format", "csv"], "\n"),
+    (["progression", "census", "--D", "6"], "0 progressions, 0 pairs, 0 with gcd 2\n"),
+])
+def test_skipped_D_notes_its_reason_on_stderr(capsys, argv, expected_out):
+    code, out, err = run_cli(capsys, *argv)
+    assert (code, out) == (0, expected_out)
+    assert err == (
+        "note: D=6 skipped (sum of 1/d over divisors of 6 does not exceed 2)\n"
+    )
 
 
 def test_progression_derive_table(capsys):
@@ -320,10 +359,20 @@ def test_density_json_round_trip(capsys):
     assert payload["phi"] == 480
     assert payload["rounding"] == "upward"
     assert payload["bound"].startswith("0.4980708913741")
-    from p2k.density import BoundResult
-
-    back = BoundResult.from_json(out)
-    assert back.M == 1155
+    r = run_estimate([3, 5, 7, 11])
+    assert payload == {
+        "primes": list(r.primes),
+        "partition": [list(half) for half in r.partition],
+        "M": r.M,
+        "ord2": r.order,
+        "phi": r.phi,
+        "histogram": [list(item) for item in r.histogram.sorted_items()],
+        "bound": r.decimal_upper(),
+        "bound_exact": str(r.bound_upper),
+        "bound_lower_exact": str(r.bound_lower),
+        "variant": "corrected",
+        "rounding": "upward",
+    }
 
 
 def test_density_partition_flag(capsys):

@@ -1,4 +1,6 @@
 import itertools
+import json
+import math
 import random
 
 import pytest
@@ -18,7 +20,9 @@ from p2k.covering import (
     find_prime_assignments,
     is_covering,
     is_minimal,
+    iter_prime_assignments,
 )
+from p2k.modcore import CongruenceCondition
 from p2k.progressions import derive_progression, membership_in_U_is_certified
 
 
@@ -34,8 +38,14 @@ def test_from_pairs_rejects_nonpositive_modulus():
 
 
 def test_type_rejects_wrong_lcm():
-    with pytest.raises(ValueError):
+    # the lcm is derived from the moduli, never given
+    with pytest.raises(TypeError):
         CoveringSystem((), 5)
+    assert CoveringSystem(()).lcm_D == 1
+    system = CoveringSystem((CongruenceCondition(0, 4), CongruenceCondition(1, 6)))
+    assert system.lcm_D == 12
+    with pytest.raises(AttributeError):
+        system.lcm_D = 5
 
 
 def test_assignment_type_invariants():
@@ -85,6 +95,15 @@ def test_find_prime_assignments():
     )
     assert expected in found
     assert find_prime_assignments([2]) == [PrimeAssignment.from_pairs([(2, 3)])]
+
+
+def test_modulus_1_has_no_prime_assignment():
+    # 2^1 - 1 = 1 has no prime divisor, while the other moduli still do
+    assert list(iter_prime_assignments([1])) == []
+    assert list(iter_prime_assignments([1, 2, 3])) == []
+    assert canonical_assignment([3, 1]) is None
+    with pytest.raises(ValueError, match="d >= 2"):
+        list(iter_prime_assignments([0, 2]))
 
 
 def test_find_prime_assignments_rejects_duplicates():
@@ -184,7 +203,7 @@ def test_enumerate_24_systems_reassert_invariants(enumeration_24):
 
 def _reference_enumeration_24():
     """Exhaustive product-loop re-enumeration, no pruning."""
-    from p2k.modcore import divisors, lcm_all
+    from p2k.modcore import divisors
 
     found = set()
     divs = [d for d in divisors(24) if d >= 2]
@@ -192,7 +211,7 @@ def _reference_enumeration_24():
         for mods in itertools.combinations(divs, r):
             if sum(24 // d for d in mods) <= 24:
                 continue
-            if lcm_all(mods) != 24:
+            if math.lcm(*mods) != 24:
                 continue
             if not find_prime_assignments(mods):
                 continue
@@ -218,7 +237,7 @@ def _residue_order_enumeration(D: int) -> EnumerationReport:
     """The full report by the plain search: modulus tuples by combinations,
     residues tried in modulus order with the budget prune, minimality
     filtered afterwards, one canonical assignment looked up per system."""
-    from p2k.modcore import divisors, lcm_all
+    from p2k.modcore import divisors
 
     divs = [d for d in divisors(D) if d >= 2]
     tuples = [
@@ -226,7 +245,7 @@ def _residue_order_enumeration(D: int) -> EnumerationReport:
         for r in range(1, len(divs) + 1)
         for mods in itertools.combinations(divs, r)
         if sum(D // d for d in mods) > D
-        and lcm_all(mods) == D
+        and math.lcm(*mods) == D
         and canonical_assignment(mods) is not None
     ]
     full = (1 << D) - 1
@@ -252,12 +271,7 @@ def _residue_order_enumeration(D: int) -> EnumerationReport:
     )
     systems = tuple((c, canonical_assignment(c.moduli)) for c in minimal)
     progressions = tuple(cdl_progression_residue(c, asg) for c, asg in systems)
-    return EnumerationReport(
-        D=D,
-        systems=systems,
-        progressions=progressions,
-        distinct_progression_count=len(set(progressions)),
-    )
+    return EnumerationReport(D=D, systems=systems, progressions=progressions)
 
 
 @pytest.mark.parametrize("D", [24, 36, 48, 80])
@@ -331,13 +345,11 @@ def test_double_cover_rejects_bad_inputs():
 
 
 def _minimal_coverings_with_lcm_12():
-    from p2k.modcore import lcm_all
-
     out = []
     divs = [2, 3, 4, 6, 12]
     for r in range(1, 6):
         for mods in itertools.combinations(divs, r):
-            if sum(12 // d for d in mods) <= 12 or lcm_all(mods) != 12:
+            if sum(12 // d for d in mods) <= 12 or math.lcm(*mods) != 12:
                 continue
             for residues in itertools.product(*(range(d) for d in mods)):
                 full = set(range(12))
@@ -364,9 +376,25 @@ def test_double_cover_on_randomized_minimal_inputs(enumeration_24):
 
 
 def test_report_json_round_trip(enumeration_24):
-    text = enumeration_24.to_json()
-    back = EnumerationReport.from_json(text)
-    assert back == enumeration_24
+    report = enumeration_24
+    assert json.loads(report.to_json()) == {
+        "D": report.D,
+        "systems": [
+            {
+                "classes": [[c.residue, c.modulus] for c in system.classes],
+                "assignment": [list(pair) for pair in asg.pairs],
+                "progression": list(progression),
+            }
+            for (system, asg), progression in zip(report.systems, report.progressions)
+        ],
+        "distinct_progression_count": report.distinct_progression_count,
+    }
+    assert report.skip_reason is None
+    skipped = enumerate_cdl_systems(6)
+    assert json.loads(skipped.to_json()) == {
+        "D": 6, "systems": [], "distinct_progression_count": 0,
+        "skip_reason": skipped.skip_reason,
+    }
 
 
 def test_report_csv_layout(enumeration_24):

@@ -1,4 +1,5 @@
 import itertools
+import json
 import math
 import random
 from dataclasses import replace
@@ -9,10 +10,9 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from p2k.modcore import euler_phi, factorize, ord2, primes_up_to
+from p2k.modcore import euler_phi, factorize, ord2, period_mask, primes_up_to
 from p2k.density import (
     TRIVIAL_CLUSTER,
-    BoundResult,
     Cluster,
     DeltaHistogram,
     augment,
@@ -30,6 +30,7 @@ from p2k.density import (
     _LN2_HI,
     _LN2_LO,
     _affine_fold,
+    _canonical,
     _coprime_table,
     _cross_arrangement,
     _cross_engine,
@@ -150,32 +151,31 @@ def test_cross_numpy_backend_matches_pure():
         assert _cross_histogram_numpy(left, right) == _cross_histogram_pure(left, right)
 
 
-def _shift_one_unit_to_a_rotation(cluster):
-    """Full rows of the cluster with one unit of multiplicity moved from a
-    row's rotation (by one exponent) to the row itself: same total, but no
-    longer rotation-invariant."""
-    full = (1 << cluster.order) - 1
-    for mask in sorted(cluster.rows):
-        rot = ((mask << 1) | (mask >> (cluster.order - 1))) & full
-        if rot != mask and rot in cluster.rows:
-            rows = dict(cluster.rows)
-            rows[mask] += 1
-            rows[rot] -= 1
-            if rows[rot] == 0:
-                del rows[rot]
-            return rows
-    raise AssertionError("no row with a distinct rotation")
-
-
 # full-row oracle: the merge and cross loops over every row pair, with an
 # independent lift (bit k of the lifted row is bit k mod order of the row)
 
 
+def _lift_row(mask, order, target):
+    return sum(1 << k for k in range(target) if mask >> (k % order) & 1)
+
+
 def _lift_rows(rows, order, target):
-    return {
-        sum(1 << k for k in range(target) if mask >> (k % order) & 1): mult
-        for mask, mult in rows.items()
-    }
+    return {_lift_row(mask, order, target): mult for mask, mult in rows.items()}
+
+
+@pytest.mark.parametrize("order", [1, 3, 7, 12, 20, 64])
+def test_augment_lifts_rows_to_their_inverse_images(order):
+    # seeded random rows, half of them with the top bit o - 1 set, lifted to
+    # several multiples of the order: bit x of the lift of a row is bit
+    # x mod o of the row, so the lift is the row times period_mask(o, t)
+    rng = random.Random(order)
+    rows = [rng.getrandbits(order) | (i % 2) << (order - 1) for i in range(40)]
+    orbits = {_canonical(row, order)[0]: 1 + i for i, row in enumerate(rows)}
+    cluster = Cluster(sum(orbits.values()), order, orbits)
+    for t in (order, 2 * order, 3 * order, 5 * order, 12 * order):
+        for row in rows:
+            assert row * period_mask(order, t) == _lift_row(row, order, t)
+        assert augment(cluster, t).rows == _lift_rows(cluster.rows, order, t)
 
 
 def _row_pairs(a, b):
@@ -300,27 +300,41 @@ def test_rotation_closed_but_not_affine_invariant_falls_back():
         keys, _, weights = _profile_orbits(x, 5)
         assert not _affine_fold(keys, weights, 5)[2]
     assert _cross_histogram_numpy(c, d) == _cross_histogram_pure(c, d) == _cross_rows(c, d)
-    # neither side may fold: each arrangement meets rotation orbits only
-    rows, _, members_t, _ = _cross_arrangement(c, d)
-    assert (len(rows), members_t.shape[1]) == (3, 11)
+    # neither side may fold, so the numpy engine hands the pair on
+    assert _cross_arrangement(c, d) is None
     # the image of {0, 1} is missing altogether here, though the key it
     # would sort before (the full row) has the same weight
     e = Cluster(11, 5, {0b11111: 5, 0b00011: 1, 0: 1})
     keys, _, weights = _profile_orbits(e, 5)
     assert not _affine_fold(keys, weights, 5)[2]
     assert _cross_histogram_numpy(e, d) == _cross_histogram_pure(e, d) == _cross_rows(e, d)
-    # facing an invariant side, a non-invariant one may still fold
+    # one invariant side is not enough
     p31 = prime_cluster(31)
+    assert _cross_arrangement(c, p31) is None
     assert _cross_histogram_numpy(c, p31) == _cross_histogram_pure(c, p31) == _cross_rows(c, p31)
     assert _cross_histogram_numpy(p31, d) == _cross_histogram_pure(p31, d) == _cross_rows(p31, d)
 
 
-@pytest.mark.parametrize("primes", [(5, 7), (5, 13), (3, 7, 13)])
-def test_from_rows_rejects_non_invariant_rows(primes):
-    c = _half_cluster(primes)
-    assert Cluster.from_rows(c.modulus_part, c.order, c.rows) == c
-    with pytest.raises(ValueError):
-        Cluster.from_rows(c.modulus_part, c.order, _shift_one_unit_to_a_rotation(c))
+def test_large_non_invariant_pair_takes_the_joint_orbit_loop():
+    # over Z/20 the unit 3 maps the rotation orbit of {0, 4, 8} onto that of
+    # {0, 4, 12}; moving one unit of multiplicity from one to the other
+    # leaves the half cluster rotation closed but not affine invariant, and
+    # the pair still walks enough joint orbits to select the numpy engine
+    a, b = _half_cluster((3, 5, 11, 41)), _half_cluster((7, 13, 31))
+    assert a.order == math.gcd(a.order, b.order) == 20
+    assert _cross_arrangement(a, b) is not None
+    assert a.orbits[0b100010001] == a.orbits[0b1000000010001] == 2
+    moved = {**a.orbits, 0b100010001: 1, 0b1000000010001: 3}
+    altered = Cluster(a.modulus_part, a.order, moved)
+    altered.validate()
+    keys, _, weights = _profile_orbits(altered, 20)
+    assert not _affine_fold(keys, weights, 20)[2]
+    assert _joint_orbit_count(altered, b) >= 1 << 12
+    assert _cross_engine(altered, b) is _cross_histogram_numpy
+    assert _cross_arrangement(altered, b) is None
+    expected = _cross_rows(altered, b)
+    assert _cross_histogram_numpy(altered, b) == expected
+    assert cross_histogram(altered, b).counts == expected
 
 
 def test_validate_rejects_non_canonical_key():
@@ -514,13 +528,10 @@ def test_certified_direction_and_gap():
 
 def test_decimal_upper_rounds_up():
     r = run_estimate([3])
-    assert r.decimal_upper(3) == "0.500"
-    fake = BoundResult(
-        primes=(3,), partition=((3,), ()), M=3, order=2, phi=2,
-        histogram=brute_force_delta(3),
-        bound_upper=Fraction(1, 3), bound_lower=Fraction(1, 3),
-    )
-    assert fake.decimal_upper(6) == "0.333334"
+    assert r.decimal_upper() == "0.500000000000000"
+    fake = replace(r, bound_upper=Fraction(1, 3), bound_lower=Fraction(1, 3))
+    assert fake.decimal_upper() == "0.333333333333334"
+    assert replace(r, bound_upper=Fraction(1)).decimal_upper() == "1.000000000000000"
 
 
 def test_partition_independence_over_3_5_7_11_13():
@@ -569,8 +580,19 @@ def test_dedup_conserves_mass():
 
 def test_bound_result_json_round_trip():
     r = run_estimate([3, 5, 7])
-    back = BoundResult.from_json(r.to_json())
-    assert back == r
+    assert json.loads(r.to_json()) == {
+        "primes": list(r.primes),
+        "partition": [list(half) for half in r.partition],
+        "M": r.M,
+        "ord2": r.order,
+        "phi": r.phi,
+        "histogram": [list(item) for item in r.histogram.sorted_items()],
+        "bound": r.decimal_upper(),
+        "bound_exact": str(r.bound_upper),
+        "bound_lower_exact": str(r.bound_lower),
+        "variant": "corrected",
+        "rounding": "upward",
+    }
 
 
 def test_degenerate_single_prime_half():

@@ -21,7 +21,6 @@ from p2k.modcore import (
     mersenne_prime_divisors,
     ord2,
     period_mask,
-    pow2_mod,
     primes_up_to,
     primitive_mersenne_divisors,
 )
@@ -61,16 +60,6 @@ def test_ord2_lcm_multiplicative_on_coprime_pairs(a, b):
     if math.gcd(a, b) != 1:
         return
     assert ord2(a * b) == math.lcm(ord2(a), ord2(b))
-
-
-def test_pow2_mod_values():
-    assert pow2_mod(0, 5) == 1
-    assert pow2_mod(23, 241) == 121
-    assert pow2_mod(3, 17) == 8
-    with pytest.raises(ValueError):
-        pow2_mod(-1, 5)
-    with pytest.raises(ValueError):
-        pow2_mod(3, 0)
 
 
 def test_factorize_fixtures():
@@ -140,7 +129,6 @@ def test_congruence_condition_validation():
         CongruenceCondition(3, 2)
     with pytest.raises(ValueError):
         CongruenceCondition(0, 0)
-    assert CongruenceCondition(1, 2).contains(7)
 
 
 def test_crt_erdos_progression():

@@ -79,7 +79,6 @@ def test_exclusion_certificate_for_erdos():
     assert cert.k_period == 24
     assert cert.checked_primes == (3, 7, 5, 17, 13, 241)
     assert cert.witnesses == ()
-    assert cert.k_zero_excluded_by_parity
 
 
 def test_exclusion_periodicity():
