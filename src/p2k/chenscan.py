@@ -12,10 +12,11 @@ met by some j; the powers of q in b and the factor 2^v2(b) only multiply the
 number of such j.
 
 Everything therefore lives on exponents mod T = lcm of the orders, and one
-search decides b: modcore.class_cover_search picks one class per prime,
+walk decides b: modcore.class_cover_search picks one class per prime,
 branching on the least uncovered exponent (Knuth's Algorithm X).  Its
 position x stands for exponent x + 1, so position class c blocks the
-residue 2^(c+1) mod q.
+residue 2^(c+1) mod q.  The same walk (_cover_walk) yields both the longest
+covered prefix and the covering families the leftovers are rebuilt from.
 * Covered b: some j survives the first K shifts exactly when one class per
   order covers 1..K.  With L the longest such prefix (L < T), the sieve
   empties after shifts_used = L + 1 shifts.
@@ -88,30 +89,31 @@ class ScanReport:
     elapsed: float = 0.0
 
 
-def _longest_prefix(orders) -> int:
-    """Largest L <= lcm(orders) such that one exponent class per entry
-    covers 1..L; L = lcm(orders) exactly when the classes can cover Z."""
+def _cover_walk(orders) -> tuple[int, list[tuple[list, list]]]:
+    """One class_cover_search over the orders: the largest L <= T =
+    lcm(orders) such that one exponent class per entry covers 1..L, and the
+    (classes, barred) family of every covering node; L = T exactly when
+    the families are nonempty."""
     T = math.lcm(*orders)
     best = 0
+    families: list[tuple[list, list]] = []
 
     def visit(x, covered, room, classes, barred):
         nonlocal best
         best = max(best, x)
-        return best < T
+        if x == T:
+            families.append((classes[:], barred[:]))
+        return True
 
     class_cover_search(orders, T, visit)
-    return best
+    return best, families
 
 
-def _leftover(two: int, odd_factors, orders) -> tuple[int, ...]:
+def _leftover(two: int, odd_factors, orders, families) -> tuple[int, ...]:
     """Odd residues mod two * prod(q^f) whose blocked classes cover Z, by
-    CRT over the covering families of class_cover_search."""
-    T = math.lcm(*orders)
+    CRT over the covering families of _cover_walk."""
     out: list[int] = []
-
-    def visit(x, covered, room, classes, barred):
-        if x < T:
-            return True
+    for classes, barred in families:
         residues, m = list(range(1, two, 2)), two
         for (q, f), o, c, bar in zip(odd_factors, orders, classes, barred):
             # position class c stands for exponent class c + 1
@@ -126,9 +128,6 @@ def _leftover(two: int, odd_factors, orders) -> tuple[int, ...]:
             residues = [s + m * ((r - s) * inv % qf) for s in residues for r in lifts]
             m *= qf
         out.extend(residues)
-        return False
-
-    class_cover_search(orders, T, visit)
     return tuple(sorted(out))
 
 
@@ -138,15 +137,15 @@ def check_even_modulus(b: int) -> ModulusVerdict:
         raise ValueError(f"modulus must be even and >= 2, got {b}")
     odd_factors = [(q, f) for q, f in factorize(b) if q != 2]
     orders = [_ord2_prime(q) for q, _ in odd_factors]
-    prefix = _longest_prefix(orders)
-    if prefix < math.lcm(*orders):
+    prefix, families = _cover_walk(orders)
+    if not families:
         return ModulusVerdict(b, True, prefix + 1)
     two = b & -b
     return ModulusVerdict(
         b,
         False,
         two.bit_length() - 2 + ord2(b // two),
-        _leftover(two, odd_factors, orders),
+        _leftover(two, odd_factors, orders, families),
     )
 
 
@@ -191,9 +190,9 @@ def scan_range(b_lo: int, b_hi: int) -> ScanReport:
     Block by block, the sieved bound (_sieved_blocks) drops every b whose
     odd primes certainly fail the counting screen, with no division and no
     factor list.  Only the rest are factored, get their orders (memoised
-    per prime in modcore), meet the exact screen and then the longest-prefix
-    search (memoised per multiset of orders); check_even_modulus runs only
-    on the b found uncovered.  Memory stays flat over any range.
+    per prime in modcore), meet the exact screen and then the prefix of
+    _cover_walk (memoised per multiset of orders); check_even_modulus runs
+    only on the b found uncovered.  Memory stays flat over any range.
     """
     start = max(2, b_lo + b_lo % 2)
     stop = b_hi - b_hi % 2
@@ -211,30 +210,33 @@ def scan_range(b_lo: int, b_hi: int) -> ScanReport:
                 continue
             key = tuple(sorted(ords))
             if key not in prefixes:
-                prefixes[key] = _longest_prefix(key)
+                prefixes[key] = _cover_walk(key)[0]
             if prefixes[key] == T:
                 uncovered.append(check_even_modulus(b))
     return ScanReport(start, stop, uncovered, time.monotonic() - t0)
 
 
-def find_witness(
-    b: int, j: int, prime_limit: int = 10**7, k_limit: int = 30
-) -> tuple[int, int] | None:
-    """An explicit (p, k) with p prime <= prime_limit, 1 <= k <= k_limit and
-    p + 2^k = j (mod b); end-to-end evidence that the class j (mod b) meets
-    the form p + 2^k.  Returns None if the search space is exhausted."""
+_WITNESS_PRIME_LIMIT = 10**7
+_WITNESS_K_LIMIT = 30
+
+
+def find_witness(b: int, j: int) -> tuple[int, int] | None:
+    """An explicit (p, k) with p prime <= 10^7 (_WITNESS_PRIME_LIMIT),
+    1 <= k <= 30 (_WITNESS_K_LIMIT) and p + 2^k = j (mod b); end-to-end
+    evidence that the class j (mod b) meets the form p + 2^k.  Returns None
+    if the search space is exhausted."""
     if b < 2 or b % 2 != 0:
         raise ValueError(f"modulus must be even and >= 2, got {b}")
-    for k in range(1, k_limit + 1):
+    for k in range(1, _WITNESS_K_LIMIT + 1):
         t = (j - pow(2, k, b)) % b
         g = math.gcd(t, b)
         if g > 1:
             # every candidate in this class shares g except possibly t itself
-            if t > 1 and t <= prime_limit and is_prime(t):
+            if t > 1 and t <= _WITNESS_PRIME_LIMIT and is_prime(t):
                 return (t, k)
             continue
         p = t if t > 1 else t + b
-        while p <= prime_limit:
+        while p <= _WITNESS_PRIME_LIMIT:
             if is_prime(p):
                 return (p, k)
             p += b

@@ -704,22 +704,19 @@ def balance_partition(primes) -> tuple[tuple[int, ...], tuple[int, ...]]:
 
 def _half_cluster(primes) -> Cluster:
     # merging in ascending ord2 keeps intermediate exponent rings small
-    clusters = [prime_cluster(p) for p in sorted(primes, key=lambda p: (ord2(p), p))]
+    clusters = sorted(map(prime_cluster, primes), key=lambda c: (c.order, c.modulus_part))
     return reduce(merge, clusters, TRIVIAL_CLUSTER)
 
 
 def run_estimate(primes, partition: tuple | None = None) -> BoundResult:
-    """Full pipeline: per-prime clusters, merge within each half, cross the
-    halves into the histogram (cross_histogram picks its engine), and
-    evaluate the bound."""
+    """Full pipeline: per-prime clusters (prime_cluster rejects any p that
+    is not an odd prime), merge within each half, cross the halves into the
+    histogram (cross_histogram picks its engine), and evaluate the bound."""
     prime_list = list(primes)
     if not prime_list:
         raise ValueError("need at least one prime")
     if len(set(prime_list)) != len(prime_list):
         raise ValueError(f"primes must be distinct, got {prime_list}")
-    for p in prime_list:
-        if p % 2 == 0 or not is_prime(p):
-            raise ValueError(f"{p} is not an odd prime")
     if partition is None:
         left, right = balance_partition(prime_list)
     else:

@@ -60,13 +60,6 @@ class CongruenceCondition:
             )
 
 
-def _check_odd_positive(n: int, what: str = "modulus") -> None:
-    if n < 1:
-        raise ValueError(f"{what} must be positive, got {n}")
-    if n % 2 == 0:
-        raise ValueError(f"{what} must be odd, got {n}")
-
-
 def primes_up_to(n: int) -> list[int]:
     """All primes <= n by a byte sieve."""
     if n < 2:
@@ -243,9 +236,10 @@ def ord2(n: int) -> int:
     Multiplicative over coprime parts: computed per prime power and
     combined by lcm.
     """
-    _check_odd_positive(n)
-    if n == 1:
-        return 1
+    if n < 1:
+        raise ValueError(f"modulus must be positive, got {n}")
+    if n % 2 == 0:
+        raise ValueError(f"modulus must be odd, got {n}")
     result = 1
     for p, e in factorize(n):
         t = _ord2_prime(p)
@@ -275,7 +269,7 @@ def crt_solve(conditions: list[CongruenceCondition]) -> CongruenceCondition:
     for cond in conds:
         # x' = x (mod m), x' = r (mod q); lift by the inverse of m mod q.
         q = cond.modulus
-        inv = pow(m, -1, q) if q > 1 else 0
+        inv = pow(m, -1, q)
         x = x + m * ((cond.residue - x) * inv % q)
         m *= q
     return CongruenceCondition(x % m, m)

@@ -84,10 +84,7 @@ def assignment_matching_modulus(moduli, target_modulus: int) -> PrimeAssignment:
     if target_modulus % 2 != 0:
         raise ValueError(f"progression modulus must be even, got {target_modulus}")
     for asg in iter_prime_assignments(moduli):
-        prod = 1
-        for p in asg.primes:
-            prod *= p
-        if 2 * prod == target_modulus:
+        if 2 * math.prod(asg.primes) == target_modulus:
             return asg
     raise ValueError(f"no assignment for {tuple(moduli)} gives modulus {target_modulus}")
 
@@ -138,10 +135,7 @@ def membership_in_U_is_certified(progression: CdlProgression) -> bool:
         return False
     if not is_covering(system):
         return False
-    prod = 1
-    for p in primes:
-        prod *= p
-    if progression.modulus != 2 * prod:
+    if progression.modulus != 2 * math.prod(primes):
         return False
     a = progression.residue
     if a % 2 != 1:

@@ -138,7 +138,7 @@ def test_criterion_5_chen_scan_and_witnesses():
     missing = []
     for b in range(2, 301, 2):
         for j in range(1, b, 2):
-            found = chenscan.find_witness(b, j, prime_limit=10**7, k_limit=30)
+            found = chenscan.find_witness(b, j)
             if found is None:
                 missing.append((b, j))
             else:

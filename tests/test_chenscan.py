@@ -8,7 +8,7 @@ from conftest import M48, RESIDUES_48
 from p2k.chenscan import (
     _N,
     ModulusVerdict,
-    _longest_prefix,
+    _cover_walk,
     _sieved_blocks,
     check_even_modulus,
     find_witness,
@@ -200,7 +200,7 @@ def _reference_odd_prime_factors(lo, hi, odd_primes):
 
 def _reference_scan(b_lo, b_hi):
     """The per-b scan: factor lists for every b, its orders, the exact
-    screen sum(T // o) >= T, then the longest-prefix search."""
+    screen sum(T // o) >= T, then the prefix of the cover walk."""
     start, stop = max(2, b_lo + b_lo % 2), b_hi - b_hi % 2
     odd_primes = primes_up_to(math.isqrt(stop))[1:]
     width = 2 * math.isqrt(stop)
@@ -210,7 +210,7 @@ def _reference_scan(b_lo, b_hi):
         for b, qs in zip(range(lo, hi + 1, 2), _reference_odd_prime_factors(lo, hi, odd_primes)):
             ords = [_ord2_prime(q) for q in qs]
             T = math.lcm(*ords)
-            if sum(T // o for o in ords) >= T and _longest_prefix(ords) == T:
+            if sum(T // o for o in ords) >= T and _cover_walk(ords)[0] == T:
                 uncovered.append(check_even_modulus(b))
     return uncovered
 
@@ -287,3 +287,10 @@ def test_find_witness_small_moduli():
             p, k = found
             assert (p + 2**k) % b == j % b
             assert 1 <= k <= 30
+
+
+def test_no_witness_in_the_surviving_classes(big_modulus_verdict):
+    # every j - 2^k shares an odd prime with b in a surviving class, so
+    # the search space is exhausted
+    for j in big_modulus_verdict.leftover:
+        assert find_witness(M48, j) is None

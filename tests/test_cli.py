@@ -311,6 +311,12 @@ def test_assigned_prime_must_be_an_odd_prime(capsys, command, bad):
     assert err.startswith("error:") and "not an odd prime" in err
 
 
+def test_density_even_prime_is_domain_error(capsys):
+    # the odd-prime check, not ord2's "modulus must be odd"
+    code, out, err = run_cli(capsys, "density", "--primes", "4")
+    assert (code, out, err) == (1, "", "error: 4 is not an odd prime\n")
+
+
 def test_chen_check_json(capsys):
     code, out, _ = run_cli(capsys, "chen", "check", "--b", "11184810")
     assert code == 0

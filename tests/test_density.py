@@ -10,6 +10,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from p2k.chenscan import check_even_modulus
 from p2k.modcore import euler_phi, factorize, ord2, period_mask, primes_up_to
 from p2k.density import (
     TRIVIAL_CLUSTER,
@@ -567,6 +568,15 @@ def test_run_estimate_input_validation():
         run_estimate([3, 15])
 
 
+@pytest.mark.parametrize("bad", [4, 0, 1, 9])
+@pytest.mark.parametrize("split", [False, True])
+def test_run_estimate_rejects_non_odd_primes(bad, split):
+    # prime_cluster is the one check, and it runs before ord2 sees p
+    partition = ((3,), (5, bad)) if split else None
+    with pytest.raises(ValueError, match=f"^{bad} is not an odd prime$"):
+        run_estimate([3, 5, bad], partition)
+
+
 def test_dedup_conserves_mass():
     # iterated merges keep sum of multiplicities equal to the product
     cluster = TRIVIAL_CLUSTER
@@ -607,23 +617,43 @@ def test_oracle_agreement_through_run_estimate():
     assert r.M == 23205
 
 
-def test_fully_blocked_residues_match_surviving_progressions():
-    # nu = 0 residues mod 3*5*7*13*17*241 are exactly the reductions of the
-    # 48 progressions that survive the even-modulus sieve at 2M
-    import math
+_CDL24_PRIMES = (3, 5, 7, 13, 17, 241)
 
-    from p2k.chenscan import check_even_modulus
-    from p2k.modcore import ord2
 
-    r = run_estimate([3, 5, 7, 13, 17, 241])
-    assert r.histogram.counts.get(0) == 48
+@pytest.mark.parametrize(
+    "primes, count",
+    [
+        (_CDL24_PRIMES, 48),
+        (_CDL24_PRIMES + (11,), 528),
+        (_CDL24_PRIMES + (19,), 912),
+        (_CDL24_PRIMES + (31,), 1488),
+        (_CDL24_PRIMES + (37,), 1776),
+        (_CDL24_PRIMES + (73,), 3504),
+        (_CDL24_PRIMES + (11, 19), 10032),
+        ((3, 5, 7, 11, 13, 17), 0),
+    ],
+    ids=lambda v: ",".join(map(str, v)) if isinstance(v, tuple) else str(v),
+)
+def test_fully_blocked_residues_match_surviving_progressions(primes, count):
+    # nu = 0 residues mod M are exactly the reductions of the odd classes
+    # that survive the even-modulus sieve at 2M; none survive when some
+    # class choice covers Z
+    r = run_estimate(primes)
     verdict = check_even_modulus(2 * r.M)
-    survivors = {a % r.M for a in verdict.leftover}
-    assert len(survivors) == 48
-    for m in survivors:
-        assert all(
-            math.gcd(m - pow(2, k, r.M), r.M) > 1 for k in range(ord2(r.M))
-        )
+    assert r.histogram.counts.get(0, 0) == len(verdict.leftover) == count
+    assert verdict.covered == (count == 0)
+    shifts = [pow(2, k, r.M) for k in range(ord2(r.M))]
+    # every survivor meets every shift in a prime of M; 48 of them, evenly
+    # spaced, keep the gcd loop short on the large sets
+    for a in verdict.leftover[:: max(1, count // 48)]:
+        assert all(math.gcd(a - s, r.M) > 1 for s in shifts)
+
+
+def test_cdl_progressions_are_the_surviving_classes(enumeration_24, big_modulus_verdict):
+    # the 48 distinct progressions of the D = 24 CDL systems are the odd
+    # classes mod 2 * 3 * 5 * 7 * 13 * 17 * 241 that the sieve leaves
+    assert {m for _, m in enumeration_24.progressions} == {big_modulus_verdict.b}
+    assert sorted({a for a, _ in enumeration_24.progressions}) == list(big_modulus_verdict.leftover)
 
 
 def _odd_squarefree_products(limit, max_primes):
