@@ -4,7 +4,6 @@ bounds on the density of representable integers."""
 
 from .modcore import (
     CongruenceCondition,
-    crt_solve,
     euler_phi,
     factorize,
     mersenne_prime_divisors,

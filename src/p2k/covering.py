@@ -253,10 +253,10 @@ def cdl_progression_residue(system: CoveringSystem, assignment: PrimeAssignment)
             f"assignment moduli {assignment.moduli} do not match "
             f"system moduli {system.moduli}"
         )
+    # the assigned primes are distinct and odd (PrimeAssignment), so each is
+    # coprime to the product m lifted so far
     x, m = 1, 2  # lifted by one prime at a time
     for cond, (_, p) in zip(system.classes, assignment.pairs):
-        if math.gcd(m, p) != 1:
-            raise ValueError(f"assigned prime {p} shares a factor with {m}")
         x += m * ((pow(2, cond.residue, p) - x) * pow(m, -1, p) % p)
         m *= p
     return x, m
@@ -379,9 +379,7 @@ def double_cover(c: CoveringSystem) -> CoveringSystem:
     moduli >= 2."""
     if any(cond.modulus == 1 for cond in c.classes):
         raise ValueError("doubling a system with modulus 1 repeats modulus 2")
-    if not is_covering(c):
-        raise ValueError("input system is not covering")
     if not is_minimal(c):
-        raise ValueError("input system is not minimal")
+        raise ValueError("input system is not a minimal covering")
     pairs = [(1, 2)] + [(2 * cond.residue, 2 * cond.modulus) for cond in c.classes]
     return CoveringSystem.from_pairs(pairs)

@@ -1,10 +1,10 @@
 """Elementary modular arithmetic shared by every other module.
 
-Covers multiplicative orders of 2, exact CRT over big integers, deterministic
-factorization (trial division, then Pollard-Brent rho, every factor proven
-prime), Euler phi, the prime divisors of 2^d - 1, and class_cover_search,
-the one search for one class (or none) per modulus covering Z/T that both
-the CDL enumeration (covering) and the Chen scan (chenscan) run.
+Covers multiplicative orders of 2, deterministic factorization (trial
+division, then Pollard-Brent rho, every factor proven prime), Euler phi,
+the prime divisors of 2^d - 1, and class_cover_search, the one search for
+one class (or none) per modulus covering Z/T that both the CDL enumeration
+(covering) and the Chen scan (chenscan) run.
 """
 
 from __future__ import annotations
@@ -248,31 +248,6 @@ def ord2(n: int) -> int:
             t *= p
         result = math.lcm(result, t)
     return result
-
-
-def crt_solve(conditions: list[CongruenceCondition]) -> CongruenceCondition:
-    """Combine congruences with pairwise coprime moduli into one class.
-
-    Returns the unique residue modulo the product; an empty list yields
-    0 (mod 1).  Raises ValueError naming the first non-coprime pair.
-    """
-    conds = list(conditions)
-    for i in range(len(conds)):
-        for j in range(i + 1, len(conds)):
-            g = math.gcd(conds[i].modulus, conds[j].modulus)
-            if g != 1:
-                raise ValueError(
-                    f"moduli {conds[i].modulus} and {conds[j].modulus} "
-                    f"share factor {g}"
-                )
-    x, m = 0, 1
-    for cond in conds:
-        # x' = x (mod m), x' = r (mod q); lift by the inverse of m mod q.
-        q = cond.modulus
-        inv = pow(m, -1, q)
-        x = x + m * ((cond.residue - x) * inv % q)
-        m *= q
-    return CongruenceCondition(x % m, m)
 
 
 @cache

@@ -21,7 +21,7 @@ from .covering import (
     is_covering,
     iter_prime_assignments,
 )
-from .modcore import is_prime, ord2
+from .modcore import ord2
 
 
 @dataclass(frozen=True)
@@ -115,31 +115,25 @@ def verify_excludes_primes(progression: CdlProgression) -> ExclusionCertificate:
 
 
 def membership_in_U_is_certified(progression: CdlProgression) -> bool:
-    """Full sufficiency chain for the progression to avoid p + 2^k entirely:
+    """Full sufficiency chain for the progression to avoid p + 2^k entirely.
 
-    the source system covers Z, the assignment is valid (odd distinct primes
-    p_i | 2^{d_i} - 1 matching the moduli), the residue is the CRT class of
-    the defining congruences with M = 2 * prod p_i, and no assigned prime
-    occurs as a - 2^k.  Each piece is re-checked here from scratch.
+    The frozen types prove their own facts when built: PrimeAssignment that
+    its primes are distinct odd primes with p_i | 2^{d_i} - 1, CdlProgression
+    that its residue is odd and lies in (0, M).  This checks the rest, each
+    independently of the computation that produced it: the assignment's
+    moduli are the system's, the system covers Z (is_covering, not the
+    enumeration's search), M = 2 * prod p_i, a = 2^{a_i} (mod p_i) for each
+    class (not the CRT lift), and no assigned prime occurs as a - 2^k.
     """
     system = progression.system
     assignment = progression.assignment
     if assignment.moduli != system.moduli:
         return False
-    primes = assignment.primes
-    if len(set(primes)) != len(primes):
-        return False
-    if any(p % 2 == 0 or not is_prime(p) for p in primes):
-        return False
-    if any((2**d - 1) % p != 0 for d, p in assignment.pairs):
-        return False
     if not is_covering(system):
         return False
-    if progression.modulus != 2 * math.prod(primes):
+    if progression.modulus != 2 * math.prod(assignment.primes):
         return False
     a = progression.residue
-    if a % 2 != 1:
-        return False
     for cond, (_, p) in zip(system.classes, assignment.pairs):
         if a % p != pow(2, cond.residue, p):
             return False

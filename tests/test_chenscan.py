@@ -29,6 +29,8 @@ def test_rejects_odd_or_nonpositive():
     for bad in (1, 3, 0, -2):
         with pytest.raises(ValueError):
             check_even_modulus(bad)
+        with pytest.raises(ValueError, match="even and >= 2"):
+            find_witness(bad, 1)
 
 
 def _direct_leftover(b):

@@ -408,3 +408,67 @@ def test_density_oracle_beyond_its_range_is_domain_error(capsys):
     assert code == 1
     assert out == ""
     assert "error:" in err
+
+
+_SURVIVORS = ",".join(map(str, sorted(RESIDUES_48)))
+
+
+@pytest.mark.parametrize(
+    "argv, expected",
+    [
+        (("chen", "check", "--b", "30", "--format", "table"),
+         "b=30: covered after 4 shifts\n"),
+        (("chen", "check", "--b", "11184810", "--format", "table"),
+         f"b=11184810: NOT covered after 24 shifts; 48 odd residues left: {_SURVIVORS}\n"),
+        (("density", "--primes", "3,5,7"),
+         "primes=3,5,7 M=105 ord2=12 phi=48\n"
+         "bound <= 0.500000000000000 (corrected, rounded upward)\n"),
+        (("progression", "verify", "--classes", "0:2,0:3,1:4,3:8,7:12,23:24"),
+         "a=7629217 M=11184810 exclusion=True membership_certified=True\n"),
+        (("progression", "verify", "--classes", "0:2,1:3", "--primes", "3,7"),
+         "a=37 M=42 exclusion=True membership_certified=False\n"),
+    ],
+    ids=["chen-covered", "chen-uncovered", "density", "verify", "verify-noncovering"],
+)
+def test_table_output(capsys, argv, expected):
+    assert run_cli(capsys, *argv) == (0, expected, "")
+
+
+def test_cover_enumerate_table(capsys):
+    code, out, err = run_cli(capsys, "cover", "enumerate", "--D", "24")
+    lines = out.splitlines()
+    assert (code, err, len(lines)) == (0, "", 97)
+    assert lines[0] == "D=24: 96 minimal CDL covering systems, 48 distinct progressions"
+    assert lines[1] == (
+        "  0(mod 2) 0(mod 3) 1(mod 4) 3(mod 8) 7(mod 12) 23(mod 24)"
+        "  ->  7629217 (mod 11184810)"
+    )
+
+
+def test_chen_scan_table(capsys):
+    # the elapsed time is the one figure that varies from run to run
+    code, out, err = run_cli(
+        capsys, "chen", "scan", "--from", "11184810", "--to", "11184810"
+    )
+    assert (code, err) == (0, "")
+    assert re.fullmatch(
+        r"scanned even b in \[11184810, 11184810\]: 1 uncovered \(\d+\.\ds\)\n"
+        r"  b=11184810: 48 residues left\n",
+        out,
+    )
+
+
+@pytest.mark.parametrize(
+    "argv, message",
+    [
+        (("progression", "census"),
+         "census needs either --D or --residues with --modulus"),
+        (("progression", "verify", "--classes", "0:2,0:3,1:4,3:8,7:12,23:24",
+          "--a", "7629219"), "derived residue 7629217, expected 7629219"),
+    ],
+    ids=["census", "verify"],
+)
+def test_missing_or_wrong_input_is_domain_error(capsys, argv, message):
+    code, out, err = run_cli(capsys, *argv)
+    assert (code, out) == (1, "")
+    assert err == f"error: {message}\n"

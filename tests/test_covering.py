@@ -1,3 +1,4 @@
+import dataclasses
 import itertools
 import json
 import math
@@ -49,16 +50,22 @@ def test_type_rejects_wrong_lcm():
 
 
 def test_assignment_type_invariants():
-    with pytest.raises(ValueError):
-        PrimeAssignment.from_pairs([(2, 3), (4, 3)])  # repeated prime
-    with pytest.raises(ValueError):
-        PrimeAssignment.from_pairs([(2, 5)])  # 5 does not divide 3
+    # membership_in_U_is_certified trusts these: distinct primes, each
+    # dividing 2^d - 1, fixed once the assignment is built
+    for pairs in ([(2, 3), (4, 3)], [(2, 3), (3, 3)]):
+        with pytest.raises(ValueError, match="must be distinct"):
+            PrimeAssignment.from_pairs(pairs)
+    for pairs in ([(2, 5)], [(2, 3), (4, 7)]):
+        with pytest.raises(ValueError, match="does not divide"):
+            PrimeAssignment.from_pairs(pairs)
+    with pytest.raises(dataclasses.FrozenInstanceError):
+        ERDOS_ASSIGNMENT.pairs = ((2, 3),)
 
 
-@pytest.mark.parametrize("bad", [0, 1, -5, 15])
+@pytest.mark.parametrize("bad", [0, 1, -5, 15, 2])
 def test_assignment_rejects_prime_that_is_not_an_odd_prime(bad):
     # 0 used to raise ZeroDivisionError; 1, -5 and the composite 15 all
-    # divide 2^4 - 1 and used to pass
+    # divide 2^4 - 1 and used to pass; 2 is prime but even
     with pytest.raises(ValueError, match="not an odd prime"):
         PrimeAssignment.from_pairs([(2, 3), (4, bad)])
 
@@ -160,6 +167,8 @@ def test_enumerate_rejects_d_beyond_factor_range():
     # prime above psi_12 that factorize can neither split nor certify
     with pytest.raises(ValueError, match="2\\^1068 - 1"):
         enumerate_cdl_systems(1068)
+    with pytest.raises(ValueError, match="out of supported enumeration range"):
+        enumerate_cdl_systems(2**20 + 2)
 
 
 def test_enumerate_small_d_finds_nothing():
@@ -333,12 +342,12 @@ def test_double_cover_of_erdos_doubles_lcm():
 
 
 def test_double_cover_rejects_bad_inputs():
-    with pytest.raises(ValueError):
+    with pytest.raises(ValueError, match="not a minimal covering"):
         double_cover(CoveringSystem.from_pairs([(0, 2)]))  # not covering
     padded = CoveringSystem.from_pairs(
         [(0, 2), (0, 3), (1, 4), (3, 8), (5, 16), (7, 12), (23, 24)]
     )
-    with pytest.raises(ValueError):
+    with pytest.raises(ValueError, match="not a minimal covering"):
         double_cover(padded)  # covering but not minimal
     with pytest.raises(ValueError):
         double_cover(CoveringSystem.from_pairs([(0, 1)]))  # modulus 1

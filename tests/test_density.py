@@ -352,6 +352,22 @@ def test_validate_rejects_wrong_orbit_mass():
         Cluster(7, 3, {0b111: 6, 0b011: 1}).validate()
 
 
+@pytest.mark.parametrize(
+    "cluster, message",
+    [
+        (Cluster(6, 2, {0b11: 6}), "modulus part must be odd"),
+        (Cluster(7, 4, {0b1111: 7}), "multiple of ord2"),
+        (Cluster(7, 3, {0b1000: 7}), "outside the ambient exponent ring"),
+        (Cluster(7, 3, {0b111: 10, 0b011: -1}), "negative multiplicity"),
+    ],
+    ids=["even", "order", "row", "negative"],
+)
+def test_validate_checks_each_cluster_invariant(cluster, message):
+    # the negative multiplicity keeps the mass right: 10 - 3 = 7
+    with pytest.raises(ValueError, match=message):
+        cluster.validate()
+
+
 def test_cross_numpy_uint16_window():
     # order/g = 70000 used to wrap the uint16 profile count to 4464
     big = Cluster(15, 70000, {(1 << 70000) - 1: 15})
@@ -440,8 +456,13 @@ def test_brute_force_rejects_bad_m():
 def test_histogram_validation_catches_corruption():
     h = brute_force_delta(15)
     broken = DeltaHistogram(M=15, counts={**h.counts, 1: h.counts.get(1, 0) + 1})
-    with pytest.raises(ValueError):
+    with pytest.raises(ValueError, match="counts sum to 16"):
         broken.validate()
+    # one residue moved from nu = 1 to nu = 2: the total holds, the
+    # nu-weighted sum is one too large
+    moved = {**h.counts, 1: h.counts[1] - 1, 2: h.counts.get(2, 0) + 1}
+    with pytest.raises(ValueError, match="nu-weighted sum"):
+        DeltaHistogram(M=15, counts=moved).validate()
 
 
 def _per_nu_bound(hist, order, phi):

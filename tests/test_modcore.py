@@ -13,7 +13,6 @@ from p2k.modcore import (
     _RHO_STEPS,
     CongruenceCondition,
     class_cover_search,
-    crt_solve,
     divisors,
     euler_phi,
     factorize,
@@ -69,6 +68,8 @@ def test_factorize_fixtures():
     assert factorize(1) == []
     assert factorize(2**18 - 1) == [(3, 3), (7, 1), (19, 1), (73, 1)]
     assert factorize(2**61 - 1) == [(2305843009213693951, 1)]
+    with pytest.raises(ValueError, match="n >= 1"):
+        factorize(0)
 
 
 def test_factorize_round_trip_below_one_million():
@@ -117,6 +118,8 @@ def test_euler_phi():
     assert euler_phi(1) == 1
     assert euler_phi(3) == 2
     assert euler_phi(23205) == 9216
+    with pytest.raises(ValueError, match="n >= 1"):
+        euler_phi(0)
 
 
 def test_divisors():
@@ -129,38 +132,6 @@ def test_congruence_condition_validation():
         CongruenceCondition(3, 2)
     with pytest.raises(ValueError):
         CongruenceCondition(0, 0)
-
-
-def test_crt_erdos_progression():
-    conds = [
-        CongruenceCondition(a, m)
-        for a, m in [(1, 2), (1, 3), (2, 5), (1, 7), (11, 13), (8, 17), (121, 241)]
-    ]
-    out = crt_solve(conds)
-    assert (out.residue, out.modulus) == (7629217, 11184810)
-
-
-def test_crt_edge_cases():
-    assert crt_solve([]) == CongruenceCondition(0, 1)
-    assert crt_solve([CongruenceCondition(0, 1)]) == CongruenceCondition(0, 1)
-    out = crt_solve([CongruenceCondition(3, 4), CongruenceCondition(2, 9)])
-    assert (out.residue, out.modulus) == (11, 36)  # scan of 0..35 gives 11
-
-
-def test_crt_rejects_non_coprime_with_pair_named():
-    with pytest.raises(ValueError, match="4 and 6"):
-        crt_solve([CongruenceCondition(1, 4), CongruenceCondition(3, 6)])
-
-
-@settings(max_examples=100, deadline=None)
-@given(st.lists(st.integers(min_value=0, max_value=10**6), min_size=1, max_size=5))
-def test_crt_round_trip_random(residues):
-    mods = [3, 5, 7, 11, 13][: len(residues)]
-    conds = [CongruenceCondition(r % m, m) for r, m in zip(residues, mods)]
-    out = crt_solve(conds)
-    assert out.modulus == math.prod(mods)
-    for cond in conds:
-        assert out.residue % cond.modulus == cond.residue
 
 
 def test_mersenne_prime_divisors():

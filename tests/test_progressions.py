@@ -1,3 +1,4 @@
+import dataclasses
 import json
 import math
 import random
@@ -58,10 +59,16 @@ def test_derive_rejects_shared_factor():
 
 
 def test_progression_type_invariants():
-    with pytest.raises(ValueError):
+    # membership_in_U_is_certified trusts these: an odd residue in (0, M),
+    # fixed once the progression is built
+    with pytest.raises(ValueError, match="must be odd"):
         CdlProgression(2, 10, ERDOS_SYSTEM, ERDOS_ASSIGNMENT)  # even residue
+    with pytest.raises(ValueError, match="must be odd"):
+        CdlProgression(7629218, M48, ERDOS_SYSTEM, ERDOS_ASSIGNMENT)
     with pytest.raises(ValueError):
         CdlProgression(11, 10, ERDOS_SYSTEM, ERDOS_ASSIGNMENT)  # out of range
+    with pytest.raises(dataclasses.FrozenInstanceError):
+        ERDOS.residue = 7629219
 
 
 def test_all_48_published_rows_derive_and_certify():
@@ -124,6 +131,23 @@ def test_witnesses_equal_direct_double_loop():
         assert cert.witnesses == expected
 
 
+@pytest.mark.parametrize(
+    "residue, modulus, assignment",
+    [
+        # the assignment's moduli are not the system's
+        (7629217, M48, PrimeAssignment.from_pairs([(2, 3), (4, 5)])),
+        # M is not 2 * prod p_i
+        (7629217, M48 + 2, ERDOS_ASSIGNMENT),
+        # 7629219 = 0 (mod 3), but the class 0 (mod 2) asks for 2^0 = 1
+        (7629219, M48, ERDOS_ASSIGNMENT),
+    ],
+    ids=["moduli", "modulus", "congruence"],
+)
+def test_membership_rejects_each_broken_link(residue, modulus, assignment):
+    prog = CdlProgression(residue, modulus, ERDOS_SYSTEM, assignment)
+    assert not membership_in_U_is_certified(prog)
+
+
 def test_membership_fails_for_noncovering_source():
     noncover = CoveringSystem.from_pairs([(0, 2), (1, 3)])
     asg = PrimeAssignment.from_pairs([(2, 3), (3, 7)])
@@ -156,6 +180,8 @@ def test_assignment_matching_modulus_unique_for_d36():
     assert asg.pairs == ((2, 3), (3, 7), (4, 5), (9, 73), (12, 13), (18, 19), (36, 109))
     with pytest.raises(ValueError):
         assignment_matching_modulus(mods, m + 2)
+    with pytest.raises(ValueError, match="must be even"):
+        assignment_matching_modulus(mods, m + 1)
 
 
 def test_large_rows_reproduce_printed_progressions():

@@ -1,0 +1,70 @@
+"""sha256 pins of the published outputs: the CDL enumerations, the density
+bounds and the Chen verdicts at multiples of 11184810.  A change meant to
+keep them byte-identical is checked here; one that alters them on purpose
+updates the hash and says why."""
+
+import hashlib
+
+import pytest
+
+from conftest import M48
+from p2k.chenscan import check_even_modulus
+from p2k.covering import enumerate_cdl_systems
+from p2k.density import run_estimate
+
+
+def _sha256(text: str) -> str:
+    return hashlib.sha256(text.encode()).hexdigest()
+
+
+ENUMERATION_HASHES = {
+    24: "98eec4b34ac7e83e821c932a1cd003591757179e77db93823c57e01d4f051702",
+    36: "c57f494a75c5d5e95d11443ba76b504e1e031c58057644afb470b92a33df70a0",
+    48: "d86c6c464ba948b21994368b9b413938ec3f9edb359e0d767c0871b14be0bae1",
+    80: "fd069a3b3fed1b635772b6513443df64413e112d842223ea94d206e16df62dca",
+}
+
+# the nine published density fixtures and the 11-prime set
+ESTIMATE_HASHES = {
+    (3,): "f4407c5204350bc55f7903d9607a215ec4a6175d1d6f893054e082563e2f7b2e",
+    (3, 5): "6c3cd32d6d2cc3955fa0832fb7dc42f3184e60ae34cd886d0ad7fc5de1eb26a1",
+    (3, 5, 7): "2ce59b645b678df5cb9a793061f6dbbe6767e69762d47787703c7298fc3dc76e",
+    (3, 5, 7, 11): "0e2b9725a7021d3d7cc8eff4e56061e971f684497a207259a2de8f73339b8f1f",
+    (3, 5, 7, 11, 13): "2083dffdbbb0a0b690480813ba9d303954916cb84748d1a01cd102df59047949",
+    (3, 5, 7, 11, 13, 17):
+        "b5c765c0a38c19cd0d108d5b8e6075b79affd608e4211a6391b1fa1e80541c2f",
+    (3, 5, 7, 13, 17, 241):
+        "945c9700dd0d966dd20a93d835ec7d459f5df92e4825268a07cefbff3e73da76",
+    (3, 5, 7, 11, 17, 19):
+        "9533b1305fad20a8acd674a9246da196dcd206eaee0824c530df27c9a8db4390",
+    (3, 5, 7, 11, 17, 19, 29):
+        "92921f162dedc79a83a2bb41119e7d364eba48fd1e004a697594fa58d1bb56ce",
+    (3, 5, 7, 11, 13, 17, 19, 31, 41, 73, 241):
+        "6621ad319acbd2bb3a7a1d080aeeb308e7be4871b0c97a892fff3dddb9e0d906",
+}
+
+VERDICT_HASHES = {
+    1: "e1f041c9629c8cee6cff083a1207787a1b7a6a6fd6da6d10866db87c7503e78b",
+    2: "50568d319900f0375ec56aa81f1ce16aa7050371707df4db15cf0d1ea546231e",
+    3: "4f11c1feb024f94036a5e90b7dfa6fe3ca7c10e00d3e62214fb0126abb4c68a6",
+    4: "bb058af4ea3205a9296d691c0f46520052d490e611588716a76c2a4c7cb5f653",
+}
+
+
+@pytest.mark.parametrize("D", sorted(ENUMERATION_HASHES))
+def test_enumeration_json_is_pinned(D, enumeration_24):
+    report = enumeration_24 if D == 24 else enumerate_cdl_systems(D)
+    assert _sha256(report.to_json()) == ENUMERATION_HASHES[D]
+
+
+@pytest.mark.parametrize(
+    "primes", sorted(ESTIMATE_HASHES), ids=lambda primes: ",".join(map(str, primes))
+)
+def test_estimate_json_is_pinned(primes):
+    assert _sha256(run_estimate(primes).to_json()) == ESTIMATE_HASHES[primes]
+
+
+@pytest.mark.parametrize("k", sorted(VERDICT_HASHES))
+def test_verdict_json_is_pinned(k, big_modulus_verdict):
+    verdict = big_modulus_verdict if k == 1 else check_even_modulus(k * M48)
+    assert _sha256(verdict.to_json()) == VERDICT_HASHES[k]
