@@ -23,15 +23,16 @@ Clusters are stored by rotation orbit.  Since f_M(2m) = f_M(m) + 1, rotating
 a row by one exponent gives a row of the same cluster with the same
 multiplicity, so every cluster is a union of whole rotation orbits and keeps
 one entry per orbit: its least rotation (the smallest int among its
-rotations) and the multiplicity of each member row.  The period p of an
-orbit (its number of members) divides the order; lifting to a larger ring
-keeps both the least rotation and the period.  For orbits of periods p_a and
-p_b, the p_a * p_b member pairs fall into gcd(p_a, p_b) joint orbits of
-lcm(p_a, p_b) pairs, one per pair (a, rot^s b) with s < gcd(p_a, p_b).  The
-pairs of a joint orbit cover the p_c rotations of c = a & rot^s b evenly, so
-with multiplicities w_a and w_b, merge adds w_a * w_b * lcm(p_a, p_b) / p_c
-to each member of c's orbit, and the pure cross adds
-w_a * w_b * lcm(p_a, p_b) at nu = popcount(c).
+rotations) and its weight W, the number of residues whose row lies in the
+orbit, so the weights of a cluster sum to its modulus part.  The period p of
+an orbit (its number of members) divides the order and W, each member row
+having multiplicity W / p; lifting to a larger ring keeps both the least
+rotation and the period.  For orbits of periods p_a and p_b, the p_a * p_b
+member pairs fall into gcd(p_a, p_b) joint orbits, one per pair
+(a, rot^s b) with s < gcd(p_a, p_b).  A joint orbit is lcm(p_a, p_b) pairs
+of multiplicity (W_a / p_a) * (W_b / p_b) each, so it carries weight
+W_a * W_b / gcd(p_a, p_b): merge adds that to the orbit of
+c = a & rot^s b, and the pure cross adds it at nu = popcount(c).
 
 The two halves of a split are crossed without building the merged cluster,
 by one of two engines that cross_histogram chooses between; neither is
@@ -41,12 +42,13 @@ dot product of their profiles (x -> (x mod L_a, x mod L_b) is a bijection
 onto the pairs that agree mod g), and rotating a row rotates its profile
 mod g.  The numpy engine takes the profiles of the orbit representatives
 only and groups them by least profile rotation: a profile orbit of period q
-carries W = sum p * w over the row orbits in it, W / q on each member
-(exact, since q divides every such p).  The other side's profile -> weight
-map is rotation-invariant, and dot(rot^s r, p) = dot(r, rot^-s p), so every
-member of a profile orbit meets the same nu-histogram against it: one
-side's orbit profiles, weighted W, are multiplied against every member
-profile of the other side, weighted W / q.
+carries the summed weight W of the row orbits in it, W / q on each member
+(exact, since q divides the period, and so the weight, of each such row
+orbit).  The other side's profile -> weight map is rotation-invariant, and
+dot(rot^s r, p) = dot(r, rot^-s p), so every member of a profile orbit
+meets the same nu-histogram against it: one side's orbit profiles, weighted
+W, are multiplied against every member profile of the other side, weighted
+W / q.
 
 A larger group folds further.  The row multiset of a half cluster is fixed
 by every affine map k -> u k + s of its exponent ring, u a unit: each prime
@@ -111,30 +113,28 @@ def _period(mask: int, order: int) -> int:
     return (bits + bits).find(bits, 1)
 
 
-def _canonical(mask: int, order: int) -> tuple[int, int]:
-    """(least rotation, period) of a row of Z/order.
+def _canonical(mask: int, order: int) -> int:
+    """Least rotation of a row of Z/order.
 
     Rotation i (bit j of it is bit i + j of the row) reads the row's bits
     i - 1, i - 2, ... from its top bit down, so the least rotation starts
     just above a longest run of zeros: only those starts are compared.
     """
-    period = _period(mask, order)
     full = (1 << order) - 1
     doubled = mask | (mask << order)
-    window = (1 << period) - 1
     # after t rounds, bit k of runs says bits k, k - 1, ..., k - t of
     # `doubled` are all zero; the rounds stop at the longest such runs, and
     # a run topped at bit j of the row is read first by rotation j + 1
     runs = (full ^ mask) | ((full ^ mask) << order)
-    while (longer := runs & (runs << 1)) >> order & window:
+    while (longer := runs & (runs << 1)) >> order:
         runs = longer
-    ends = runs >> order & window
+    ends = runs >> order
     least = mask
     while ends:
         low = ends & -ends
         least = min(least, (doubled >> low.bit_length()) & full)
         ends ^= low
-    return least, period
+    return least
 
 
 @dataclass(frozen=True)
@@ -144,10 +144,11 @@ class Cluster:
 
     A row is a subset of Z/order as an int mask; rotating it by one
     exponent gives a row with the same multiplicity.  orbits maps each
-    orbit's least rotation to the exact multiplicity of every member row,
-    and rows expands them into the full row -> multiplicity map.  Periods
-    times multiplicities sum to modulus_part.  order is ord_2 of
-    modulus_part, except in augmented intermediates where it is a multiple.
+    orbit's least rotation to its weight, the number of residues whose row
+    lies in the orbit: its period times the multiplicity of each member row.
+    The weights sum to modulus_part, and rows expands them into the full
+    row -> multiplicity map.  order is ord_2 of modulus_part, except in
+    augmented intermediates where it is a multiple.
     Treated as immutable once built.
     """
 
@@ -165,9 +166,11 @@ class Cluster:
         """Every member row of every orbit, with its multiplicity."""
         full = (1 << self.order) - 1
         rows: dict[int, int] = {}
-        for mask, mult in self.orbits.items():
+        for mask, weight in self.orbits.items():
             doubled = mask | (mask << self.order)
-            for i in range(self.periods[mask]):
+            period = self.periods[mask]
+            mult = weight // period
+            for i in range(period):
                 rows[(doubled >> i) & full] = mult
         return rows
 
@@ -177,22 +180,23 @@ class Cluster:
         if self.order % ord2(self.modulus_part) != 0:
             raise ValueError("order must be a multiple of ord2(modulus part)")
         full = (1 << self.order) - 1
-        total = 0
-        for mask, mult in self.orbits.items():
+        for mask, weight in self.orbits.items():
             if mask < 0 or mask > full:
                 raise ValueError("row outside the ambient exponent ring")
-            if mult < 0:
+            if weight < 0:
                 raise ValueError("negative multiplicity")
-            least, period = _canonical(mask, self.order)
+            least = _canonical(mask, self.order)
             if least != mask:
                 raise ValueError(
                     f"row {mask:#x} is not the least rotation of its orbit ({least:#x})"
                 )
-            total += period * mult
-        if total != self.modulus_part:
-            raise ValueError(
-                f"multiplicities sum to {total}, expected {self.modulus_part}"
-            )
+            if weight % self.periods[mask]:
+                raise ValueError(
+                    f"weight {weight} of row {mask:#x} is not a multiple of its "
+                    f"period {self.periods[mask]}"
+                )
+        if (total := sum(self.orbits.values())) != self.modulus_part:
+            raise ValueError(f"weights sum to {total}, expected {self.modulus_part}")
 
     def row_count(self) -> int:
         return sum(self.periods.values())
@@ -204,12 +208,13 @@ TRIVIAL_CLUSTER = Cluster(modulus_part=1, order=1, orbits={1: 1})
 def prime_cluster(p: int) -> Cluster:
     """The value distribution of f_p for an odd prime p: the full row with
     multiplicity p - ord_2(p), plus each co-singleton with multiplicity 1
-    (one orbit, whose least rotation lacks the top exponent)."""
+    (one orbit of weight ord_2(p), whose least rotation lacks the top
+    exponent)."""
     if p % 2 == 0 or not is_prime(p):
         raise ValueError(f"{p} is not an odd prime")
     order = ord2(p)
     full = (1 << order) - 1
-    return Cluster(modulus_part=p, order=order, orbits={full: p - order, full >> 1: 1})
+    return Cluster(modulus_part=p, order=order, orbits={full: p - order, full >> 1: order})
 
 
 def augment(cluster: Cluster, target_order: int) -> Cluster:
@@ -225,7 +230,7 @@ def augment(cluster: Cluster, target_order: int) -> Cluster:
     if target_order == cluster.order:
         return cluster
     lift = period_mask(cluster.order, target_order)
-    orbits = {mask * lift: mult for mask, mult in cluster.orbits.items()}
+    orbits = {mask * lift: weight for mask, weight in cluster.orbits.items()}
     return Cluster(cluster.modulus_part, target_order, orbits)
 
 
@@ -237,19 +242,19 @@ def _check_coprime(a: Cluster, b: Cluster) -> None:
 
 
 def _joint_orbits(a: Cluster, b: Cluster, order: int):
-    """Yield (c, w) for each joint rotation orbit of a pair of rows lifted
-    to Z/order: c = a & rot^s b for s < gcd(p_a, p_b), and w the summed
-    multiplicity w_a * w_b * lcm(p_a, p_b) of the orbit's pairs.  Lifting
-    keeps each orbit's period; b's rows are lifted to Z/2L, which lays the
-    row lifted to Z/L out twice, so rot^s is a shift and a mask."""
+    """Yield (c, w) for each joint rotation orbit of a pair of orbits lifted
+    to Z/order: c = a & rot^s b for s < gcd(p_a, p_b), and w its weight
+    W_a * W_b / gcd(p_a, p_b).  Lifting keeps each orbit's period; b's rows
+    are lifted to Z/2L, which lays the row lifted to Z/L out twice, so rot^s
+    is a shift and a mask."""
     lift_a, lift_b = period_mask(a.order, order), period_mask(b.order, 2 * order)
-    items_b = [(mask * lift_b, b.periods[mask], mult) for mask, mult in b.orbits.items()]
-    for mask, mult_a in a.orbits.items():
+    items_b = [(mask * lift_b, b.periods[mask], w_b) for mask, w_b in b.orbits.items()]
+    for mask, w_a in a.orbits.items():
         lifted = mask * lift_a
         p_a = a.periods[mask]
-        for doubled_b, p_b, mult_b in items_b:
+        for doubled_b, p_b, w_b in items_b:
             shifts = math.gcd(p_a, p_b)
-            w = mult_a * mult_b * (p_a // shifts * p_b)
+            w = w_a // shifts * w_b
             for s in range(shifts):
                 yield lifted & (doubled_b >> s), w
 
@@ -257,9 +262,8 @@ def _joint_orbits(a: Cluster, b: Cluster, order: int):
 def merge(a: Cluster, b: Cluster) -> Cluster:
     """Cluster of the product modulus: rows are pairwise intersections of
     the lifted rows, multiplicities multiply, equal rows merge.  Each joint
-    orbit adds w / p_c to the orbit of its intersection c; equal
-    intersections are summed before the one division, exact because p_c
-    divides every lcm(p_a, p_b) it is summed over."""
+    orbit adds its weight to the orbit of its intersection c; equal
+    intersections are summed before c's least rotation is found."""
     _check_coprime(a, b)
     order = math.lcm(a.order, b.order)
     found: dict[int, int] = {}
@@ -267,8 +271,8 @@ def merge(a: Cluster, b: Cluster) -> Cluster:
         found[key] = found.get(key, 0) + w
     orbits: dict[int, int] = {}
     for key, w in found.items():
-        least, period = _canonical(key, order)
-        orbits[least] = orbits.get(least, 0) + w // period
+        least = _canonical(key, order)
+        orbits[least] = orbits.get(least, 0) + w
     return Cluster(a.modulus_part * b.modulus_part, order, orbits)
 
 
@@ -299,9 +303,9 @@ class DeltaHistogram:
 
 def histogram_of(cluster: Cluster) -> DeltaHistogram:
     counts: dict[int, int] = {}
-    for mask, mult in cluster.orbits.items():
+    for mask, weight in cluster.orbits.items():
         nu = mask.bit_count()
-        counts[nu] = counts.get(nu, 0) + cluster.periods[mask] * mult
+        counts[nu] = counts.get(nu, 0) + weight
     return DeltaHistogram(M=cluster.modulus_part, counts=counts)
 
 
@@ -343,21 +347,19 @@ def _least_rotations(prof):
 def _profile_orbits(cluster: Cluster, g: int):
     """The Z/g profiles of the orbit representatives, grouped by least
     profile rotation: (least profiles as sorted big-endian byte keys, their
-    periods q, their weights W = sum of p * w over the row orbits whose
+    periods q, their weights W, the summed weights of the row orbits whose
     profiles lie in the profile orbit, in float64).
 
     profile[r] counts the set bits of a row at positions = r (mod g), each
     at most order/g, which the caller has checked is below 2^16.  A row of
-    period p has a profile whose period q divides gcd(p, g), so the row
-    orbit puts weight p * w / q on each of the q profile rotations.  The
-    weights are integers below 2^52 (the caller's window), so their float64
-    sums are exact.
+    period p has a profile whose period q divides gcd(p, g), so a row orbit
+    of weight W puts W / q on each of the q profile rotations.  The weights
+    are integers below 2^52 (the caller's window), so their float64 sums
+    are exact.
     """
     order = cluster.order
     reps = list(cluster.orbits)
-    weights = _np.array(
-        [cluster.periods[m] * w for m, w in cluster.orbits.items()], dtype=_np.float64
-    )
+    weights = _np.array(list(cluster.orbits.values()), dtype=_np.float64)
     words = (order + 63) // 64
     least = _np.empty(len(reps), dtype=f"S{2 * g}")
     periods = _np.empty(len(reps), dtype=_np.int64)

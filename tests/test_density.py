@@ -41,6 +41,7 @@ from p2k.density import (
     _half_cluster,
     _joint_orbit_count,
     _joint_orbits,
+    _period,
     _profile_orbits,
     _unit_generators,
 )
@@ -168,10 +169,13 @@ def _lift_rows(rows, order, target):
 def test_augment_lifts_rows_to_their_inverse_images(order):
     # seeded random rows, half of them with the top bit o - 1 set, lifted to
     # several multiples of the order: bit x of the lift of a row is bit
-    # x mod o of the row, so the lift is the row times period_mask(o, t)
+    # x mod o of the row, so the lift is the row times period_mask(o, t);
+    # row i's orbit weighs 1 + i per member
     rng = random.Random(order)
     rows = [rng.getrandbits(order) | (i % 2) << (order - 1) for i in range(40)]
-    orbits = {_canonical(row, order)[0]: 1 + i for i, row in enumerate(rows)}
+    orbits = {
+        _canonical(row, order): (1 + i) * _period(row, order) for i, row in enumerate(rows)
+    }
     cluster = Cluster(sum(orbits.values()), order, orbits)
     for t in (order, 2 * order, 3 * order, 5 * order, 12 * order):
         for row in rows:
@@ -292,11 +296,11 @@ def test_unit_generators_generate_the_unit_group():
 
 def test_rotation_closed_but_not_affine_invariant_falls_back():
     # over Z/5 the unit 2 maps the orbit of {0, 1} onto that of {0, 2}, so
-    # weights 1 and 2 on them (plus a full row, which makes the masses 17
-    # and 19 coprime) give rotation-closed clusters that are not affine
-    # invariant; the modulus parts only label the masses
-    c = Cluster(17, 5, {0b11111: 2, 0b00011: 1, 0b00101: 2})
-    d = Cluster(19, 5, {0b11111: 4, 0b00011: 2, 0b00101: 1})
+    # multiplicities 1 and 2 on them (plus a full row, which makes the
+    # masses 17 and 19 coprime) give rotation-closed clusters that are not
+    # affine invariant; the modulus parts only label the masses
+    c = Cluster(17, 5, {0b11111: 2, 0b00011: 5, 0b00101: 10})
+    d = Cluster(19, 5, {0b11111: 4, 0b00011: 10, 0b00101: 5})
     for x in (c, d):
         keys, _, weights = _profile_orbits(x, 5)
         assert not _affine_fold(keys, weights, 5)[2]
@@ -305,7 +309,7 @@ def test_rotation_closed_but_not_affine_invariant_falls_back():
     assert _cross_arrangement(c, d) is None
     # the image of {0, 1} is missing altogether here, though the key it
     # would sort before (the full row) has the same weight
-    e = Cluster(11, 5, {0b11111: 5, 0b00011: 1, 0: 1})
+    e = Cluster(11, 5, {0b11111: 5, 0b00011: 5, 0: 1})
     keys, _, weights = _profile_orbits(e, 5)
     assert not _affine_fold(keys, weights, 5)[2]
     assert _cross_histogram_numpy(e, d) == _cross_histogram_pure(e, d) == _cross_rows(e, d)
@@ -324,8 +328,9 @@ def test_large_non_invariant_pair_takes_the_joint_orbit_loop():
     a, b = _half_cluster((3, 5, 11, 41)), _half_cluster((7, 13, 31))
     assert a.order == math.gcd(a.order, b.order) == 20
     assert _cross_arrangement(a, b) is not None
-    assert a.orbits[0b100010001] == a.orbits[0b1000000010001] == 2
-    moved = {**a.orbits, 0b100010001: 1, 0b1000000010001: 3}
+    # both orbits have period 20, so multiplicity 2 is weight 40
+    assert a.orbits[0b100010001] == a.orbits[0b1000000010001] == 40
+    moved = {**a.orbits, 0b100010001: 20, 0b1000000010001: 60}
     altered = Cluster(a.modulus_part, a.order, moved)
     altered.validate()
     keys, _, weights = _profile_orbits(altered, 20)
@@ -340,16 +345,16 @@ def test_large_non_invariant_pair_takes_the_joint_orbit_loop():
 
 def test_validate_rejects_non_canonical_key():
     # 0b110 is a rotation of 0b011, the least member of its orbit
-    Cluster(7, 3, {0b111: 4, 0b011: 1}).validate()
+    Cluster(7, 3, {0b111: 4, 0b011: 3}).validate()
     with pytest.raises(ValueError, match="least rotation"):
-        Cluster(7, 3, {0b111: 4, 0b110: 1}).validate()
+        Cluster(7, 3, {0b111: 4, 0b110: 3}).validate()
 
 
 def test_validate_rejects_wrong_orbit_mass():
-    # the stored multiplicities sum to 7, but the orbit of 0b011 has three
+    # multiplicities 6 and 1 sum to 7, but the orbit of 0b011 has three
     # rows, so the cluster holds 6 + 3 = 9
     with pytest.raises(ValueError, match="sum to 9"):
-        Cluster(7, 3, {0b111: 6, 0b011: 1}).validate()
+        Cluster(7, 3, {0b111: 6, 0b011: 3}).validate()
 
 
 @pytest.mark.parametrize(
@@ -358,12 +363,14 @@ def test_validate_rejects_wrong_orbit_mass():
         (Cluster(6, 2, {0b11: 6}), "modulus part must be odd"),
         (Cluster(7, 4, {0b1111: 7}), "multiple of ord2"),
         (Cluster(7, 3, {0b1000: 7}), "outside the ambient exponent ring"),
-        (Cluster(7, 3, {0b111: 10, 0b011: -1}), "negative multiplicity"),
+        (Cluster(7, 3, {0b111: 10, 0b011: -3}), "negative multiplicity"),
+        (Cluster(7, 3, {0b111: 5, 0b011: 2}), "not a multiple of its period 3"),
     ],
-    ids=["even", "order", "row", "negative"],
+    ids=["even", "order", "row", "negative", "weight"],
 )
 def test_validate_checks_each_cluster_invariant(cluster, message):
-    # the negative multiplicity keeps the mass right: 10 - 3 = 7
+    # the negative and the fractional multiplicity keep the mass right:
+    # 10 - 3 = 5 + 2 = 7
     with pytest.raises(ValueError, match=message):
         cluster.validate()
 
@@ -385,7 +392,7 @@ def test_cross_uint16_window_guards_the_default_path(monkeypatch):
     # still keep this pair off the numpy engine
     monkeypatch.setattr(density, "_NUMPY_MIN_JOINT_ORBITS", 0)
     full = (1 << 70000) - 1
-    a = Cluster(70015, 70000, {full: 15, full >> 1: 1})
+    a = Cluster(70015, 70000, {full: 15, full >> 1: 70000})
     b = prime_cluster(7)
     assert not _fits_numpy_windows(a, b)
     assert _cross_engine(a, b) is _cross_histogram_pure

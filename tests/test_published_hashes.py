@@ -41,6 +41,9 @@ ESTIMATE_HASHES = {
         "92921f162dedc79a83a2bb41119e7d364eba48fd1e004a697594fa58d1bb56ce",
     (3, 5, 7, 11, 13, 17, 19, 31, 41, 73, 241):
         "6621ad319acbd2bb3a7a1d080aeeb308e7be4871b0c97a892fff3dddb9e0d906",
+    # the one published set whose numpy cross runs at g = 120
+    (3, 5, 7, 11, 13, 17, 19, 31, 41, 73, 241, 257):
+        "b7faa78bbe2b9ed1b7735b3d768382d80bed55febf6eb4bd3d4b344056af2039",
 }
 
 VERDICT_HASHES = {
