@@ -11,15 +11,19 @@ matters for each q, so by CRT every choice of one class or none per q is
 met by some j; the powers of q in b and the factor 2^v2(b) only multiply the
 number of such j.
 
-Everything therefore lives on exponents mod T = lcm of the orders, and one
-walk decides b: modcore.class_cover_search picks one class per prime,
-branching on the least uncovered exponent (Knuth's Algorithm X).  Its
-position x stands for exponent x + 1, so position class c blocks the
-residue 2^(c+1) mod q.  The same walk (_cover_walk) yields both the longest
-covered prefix and the covering families the leftovers are rebuilt from.
+Everything therefore lives on exponents mod T = lcm of the orders, and
+modcore.class_cover_search decides b: it picks one class per prime over
+Z/T, branching on a position with the fewest open classes and pruning
+positions no open class covers.  Its position x stands for exponent x + 1,
+so position class c blocks the residue 2^(c+1) mod q.  One walk over all
+of Z/T (_cover_walk) yields the covering families the leftovers are
+rebuilt from; when there are none, walks over prefix targets find the
+longest covered prefix.
 * Covered b: some j survives the first K shifts exactly when one class per
   order covers 1..K.  With L the longest such prefix (L < T), the sieve
-  empties after shifts_used = L + 1 shifts.
+  empties after shifts_used = L + 1 shifts.  Covering a prefix is monotone
+  in its length, so L is a binary search (_longest_prefix), each step a
+  walk that stops at its first covering node.
 * Uncovered b: the shift values 2^k mod b run through v2(b) - 1 pre-period
   values and then ord_2(b_odd) periodic ones, and the strike-out stops at the
   first repeat, so shifts_used = v2(b) - 1 + ord_2(b_odd).  leftover holds
@@ -89,24 +93,42 @@ class ScanReport:
     elapsed: float = 0.0
 
 
+def _covers(orders, T: int, target: int | None = None) -> bool:
+    """True iff one exponent class (or none) per order covers target, a
+    mask over Z/T (all of it by default); the walk stops at the first
+    covering node."""
+    return class_cover_search(orders, T, lambda classes, barred: True, target)
+
+
+def _longest_prefix(orders, T: int) -> int:
+    """The largest L < T such that one class per order covers 0..L - 1, for
+    orders that do not cover Z/T.  Covering a prefix is monotone in its
+    length, so this is a binary search; entry i can always take position
+    i, so L >= min(len(orders), T - 1)."""
+    lo, hi = min(len(orders), T - 1), T - 1
+    while lo < hi:
+        mid = (lo + hi + 1) // 2
+        if _covers(orders, T, (1 << mid) - 1):
+            lo = mid
+        else:
+            hi = mid - 1
+    return lo
+
+
 def _cover_walk(orders) -> tuple[int, list[tuple[list, list]]]:
-    """One class_cover_search over the orders: the largest L <= T =
-    lcm(orders) such that one exponent class per entry covers 1..L, and the
-    (classes, barred) family of every covering node; L = T exactly when
-    the families are nonempty."""
+    """The largest L <= T = lcm(orders) such that one exponent class per
+    entry covers 0..L - 1, and the (classes, barred) family of every
+    covering node of class_cover_search over Z/T.  L = T exactly when the
+    families are nonempty; otherwise _longest_prefix finds it."""
     T = math.lcm(*orders)
-    best = 0
     families: list[tuple[list, list]] = []
 
-    def visit(x, covered, room, classes, barred):
-        nonlocal best
-        best = max(best, x)
-        if x == T:
-            families.append((classes[:], barred[:]))
-        return True
+    def visit(classes, barred):
+        families.append((classes[:], barred[:]))
+        return False
 
     class_cover_search(orders, T, visit)
-    return best, families
+    return (T if families else _longest_prefix(orders, T)), families
 
 
 def _leftover(two: int, odd_factors, orders, families) -> tuple[int, ...]:
@@ -190,16 +212,17 @@ def scan_range(b_lo: int, b_hi: int) -> ScanReport:
     Block by block, the sieved bound (_sieved_blocks) drops every b whose
     odd primes certainly fail the counting screen, with no division and no
     factor list.  Only the rest are factored, get their orders (memoised
-    per prime in modcore), meet the exact screen and then the prefix of
-    _cover_walk (memoised per multiset of orders); check_even_modulus runs
-    only on the b found uncovered.  Memory stays flat over any range.
+    per prime in modcore), meet the exact screen and then _covers, a walk
+    that stops at the first covering node (its yes or no memoised per
+    multiset of orders); check_even_modulus runs only on the b found
+    uncovered.  Memory stays flat over any range.
     """
     start = max(2, b_lo + b_lo % 2)
     stop = b_hi - b_hi % 2
     if start > stop:
         raise ValueError(f"no even b >= 2 in [{b_lo}, {b_hi}]")
     t0 = time.monotonic()
-    prefixes: dict[tuple[int, ...], int] = {}
+    covers: dict[tuple[int, ...], bool] = {}
     uncovered: list[ModulusVerdict] = []
     for lo, bounds in _sieved_blocks(start, stop):
         for i in [i for i, total in enumerate(bounds) if total >= _N]:
@@ -209,9 +232,9 @@ def scan_range(b_lo: int, b_hi: int) -> ScanReport:
             if sum(T // o for o in ords) < T:
                 continue
             key = tuple(sorted(ords))
-            if key not in prefixes:
-                prefixes[key] = _cover_walk(key)[0]
-            if prefixes[key] == T:
+            if key not in covers:
+                covers[key] = _covers(key, T)
+            if covers[key]:
                 uncovered.append(check_even_modulus(b))
     return ScanReport(start, stop, uncovered, time.monotonic() - t0)
 

@@ -136,7 +136,7 @@ def _cmd_progression_verify(args) -> int:
     if args.a is not None and prog.residue != args.a:
         raise ValueError(f"derived residue {prog.residue}, expected {args.a}")
     cert = progressions.verify_excludes_primes(prog)
-    certified = progressions.membership_in_U_is_certified(prog)
+    certified = progressions.membership_in_U_is_certified(prog, cert)
     if args.format == "json":
         payload = json.loads(cert.to_json())
         payload["membership_certified"] = certified

@@ -8,8 +8,9 @@ and checks such systems.  Everything works over Z/D (D = lcm of the moduli)
 with D-bit masks: a class clears the bits of an arithmetic progression, and a
 tuple of classes covers iff the mask empties.
 
-Enumeration searches one translation class per modulus tuple (the largest
-modulus fixed on class 0, the shifts emitted afterwards) with
+Enumeration searches one class per modulus tuple under translations and
+unit multipliers (the largest modulus fixed on class 0, the next one on 0
+or a proper divisor of its modulus, the images emitted afterwards) with
 modcore.class_cover_search, whose positions are the residues of Z/D, and
 checks minimality only at covering leaves; enumerate_cdl_systems gives the
 details.
@@ -22,6 +23,7 @@ import io
 import json
 import math
 from dataclasses import dataclass
+from functools import cached_property, lru_cache
 
 from .modcore import (
     CongruenceCondition,
@@ -55,7 +57,7 @@ class CoveringSystem:
         conds.sort(key=lambda c: c.modulus)
         return cls(tuple(conds))
 
-    @property
+    @cached_property
     def moduli(self) -> tuple[int, ...]:
         return tuple(c.modulus for c in self.classes)
 
@@ -92,11 +94,11 @@ class PrimeAssignment:
     def from_pairs(cls, pairs) -> "PrimeAssignment":
         return cls(tuple(sorted((d, p) for d, p in pairs)))
 
-    @property
+    @cached_property
     def moduli(self) -> tuple[int, ...]:
         return tuple(d for d, _ in self.pairs)
 
-    @property
+    @cached_property
     def primes(self) -> tuple[int, ...]:
         return tuple(p for _, p in self.pairs)
 
@@ -245,6 +247,16 @@ def canonical_assignment(moduli) -> PrimeAssignment | None:
     return next(iter_prime_assignments(moduli), None)
 
 
+@lru_cache(maxsize=256)
+def _crt_basis(primes: tuple[int, ...]) -> tuple[int, int, tuple[int, ...]]:
+    """M = 2 * prod(primes) and the CRT basis mod M for distinct odd primes:
+    M / 2 (1 mod 2, 0 mod every p_i) and, per p_i, the e_i with e_i = 1
+    (mod p_i) and 0 modulo 2 and the other primes.  Bounded: the systems
+    of one modulus tuple share its canonical primes and come in a row."""
+    M = 2 * math.prod(primes)
+    return M, M // 2, tuple(M // p * pow(M // p, -1, p) for p in primes)
+
+
 def cdl_progression_residue(system: CoveringSystem, assignment: PrimeAssignment) -> tuple[int, int]:
     """The progression (a, M) supported by a CDL system: the CRT class
     x = 1 (mod 2), x = 2^{a_i} (mod p_i), with M = 2 * prod p_i."""
@@ -253,30 +265,34 @@ def cdl_progression_residue(system: CoveringSystem, assignment: PrimeAssignment)
             f"assignment moduli {assignment.moduli} do not match "
             f"system moduli {system.moduli}"
         )
-    # the assigned primes are distinct and odd (PrimeAssignment), so each is
-    # coprime to the product m lifted so far
-    x, m = 1, 2  # lifted by one prime at a time
-    for cond, (_, p) in zip(system.classes, assignment.pairs):
-        x += m * ((pow(2, cond.residue, p) - x) * pow(m, -1, p) % p)
-        m *= p
-    return x, m
+    # the assigned primes are distinct and odd (PrimeAssignment), so the
+    # basis exists; the sum reduced mod M is the unique x in [0, M)
+    M, x, basis = _crt_basis(assignment.primes)
+    for cond, p, e in zip(system.classes, assignment.primes, basis):
+        x += pow(2, cond.residue, p) * e
+    return x % M, M
 
 
 def _minimal_coverings(mods: tuple[int, ...], D: int) -> list[tuple[int, ...]]:
     """Residue tuples, one class per modulus of mods (ascending, lcm D), of
     every minimal covering of Z/D, sorted.
 
-    The search runs with the largest modulus on class 0 only and returns
-    the shifts of what it finds (see enumerate_cdl_systems).
+    The search runs with the largest modulus on class 0 and the next one on
+    class 0 or a proper divisor of its modulus; it returns the images of
+    what it finds under the units mod D, and their shifts (see
+    enumerate_cdl_systems).
     """
     *rest, top = mods
     full = (1 << D) - 1
     top_mask = _class_mask(0, top, D)
+    barred = [0] * len(rest)
+    if rest:
+        d = rest[-1]
+        kept = 1 | sum(1 << g for g in divisors(d)[:-1])
+        barred[-1] = (1 << d) - 1 & ~kept
     found: list[tuple[int, ...]] = []
 
-    def visit(x, covered, room, classes, barred):
-        if x < D:  # can the unplaced classes clear what is uncovered?
-            return (full ^ covered).bit_count() <= room
+    def visit(classes, _barred):
         # covered with moduli unplaced: any extension is redundant
         if None not in classes:
             masks = [_class_mask(a, d, D) for a, d in zip(classes, rest)]
@@ -284,10 +300,12 @@ def _minimal_coverings(mods: tuple[int, ...], D: int) -> list[tuple[int, ...]]:
                 found.append((*classes, 0))
         return False
 
-    class_cover_search(rest, D, visit, top_mask)
+    class_cover_search(rest, D, visit, full ^ top_mask, barred)
+    units = [u for u in range(D) if math.gcd(u, D) == 1]
+    bases = {tuple(u * a % d for a, d in zip(res, mods)) for res in found for u in units}
     return sorted(
         tuple((a + r) % d for a, d in zip(res, mods))
-        for res in found
+        for res in bases
         for r in range(top)
     )
 
@@ -305,13 +323,24 @@ def enumerate_cdl_systems(D: int) -> EnumerationReport:
       one system whose largest modulus d_top sits on class 0 (shift by its
       top residue).  The search fixes that class and emits the d_top shifts
       of each system it finds.
-    * Least-uncovered branching (modcore.class_cover_search).  With x the
-      least residue of Z/D not yet covered, each unplaced modulus d tries
-      the class x mod d; once that branch returns, (d, x mod d) is barred in
-      the later sibling branches, so every system is reached along exactly
-      one path.  A branch dies when the uncovered residues outnumber what
-      the unplaced classes can clear, or when it covers with moduli still
-      unplaced (the rest would be redundant).
+    * Unit quotient.  x -> u x, u a unit mod D, also maps minimal coverings
+      with these moduli to minimal coverings, and fixes class 0 of d_top.
+      It acts on the classes of the next largest modulus d through the
+      units mod d (each lifts to a unit mod D), whose orbits are the sets
+      {a : gcd(a, d) = g}, g | d; so each orbit holds 0 or a proper divisor
+      of d.  The search bars every other class of d, then emits the images
+      of what it finds under every unit mod D, without repeats, before the
+      shifts.
+    * The walk (modcore.class_cover_search).  Each node branches on the
+      least uncovered residue of Z/D that only one unplaced modulus can
+      still cover (its class there not barred), else only two, else on the
+      least uncovered residue.  Each unplaced d whose class there is open
+      tries it, barred in the later sibling branches once its branch
+      returns, so every system is reached along exactly one path.  A branch
+      dies when some uncovered residue has no open class left, or when the
+      uncovered residues outnumber what the unplaced classes can clear; a
+      covering node with moduli still unplaced is dropped (the rest would
+      be redundant).
     * Leaf minimality.  A covering leaf is kept iff each class is
       essential (_each_essential, shared with is_minimal).
 

@@ -3,8 +3,9 @@
 Covers multiplicative orders of 2, deterministic factorization (trial
 division, then Pollard-Brent rho, every factor proven prime), Euler phi,
 the prime divisors of 2^d - 1, and class_cover_search, the one search for
-one class (or none) per modulus covering Z/T that both the CDL enumeration
-(covering) and the Chen scan (chenscan) run.
+one class (or none) per modulus covering Z/T (or a target part of it) that
+both the CDL enumeration (covering) and the Chen scan (chenscan) run; it
+branches on a position with the fewest open classes.
 """
 
 from __future__ import annotations
@@ -315,39 +316,64 @@ def period_mask(d: int, T: int) -> int:
     return mask & ((1 << T) - 1)
 
 
-def class_cover_search(moduli, T: int, visit, covered: int = 0) -> None:
-    """Walk the choices of one class (or none) per entry of moduli over Z/T,
-    branching on the least uncovered position (Knuth's Algorithm X).
+def class_cover_search(moduli, T: int, visit, target=None, barred=None) -> bool:
+    """Walk the choices of one class (or none) per entry of moduli that
+    cover the positions of target (a mask over Z/T, all of it by default).
 
-    Each modulus divides T; repeats are allowed.  Position p is bit p of the
-    mask covered (the walk starts from the given mask).  Each node calls
-    visit(x, covered, room, classes, barred): x is the least uncovered
-    position (T once Z/T is covered), room the sum of T // moduli[i] over
-    the unplaced entries, classes[i] the class of entry i or None, and bit c
-    of barred[i] bars class c from entry i; the lists are live.  Only when
-    visit returns True and x < T does each unplaced entry i try the class
-    x mod moduli[i], barred in the later sibling branches once its branch
-    returns.  So every choice vector is reached along one path, and the
-    covering nodes (x = T) are disjoint families of choice vectors: an
-    entry left at None takes any class outside barred[i], or none.
+    Each modulus divides T; repeats are allowed.  Bit c of barred[i] (none
+    by default) bars class c from entry i.  At each node entry i's open
+    positions are ~(period * barred[i]), period the mask of class 0 mod
+    moduli[i]: barred[i] < 2^moduli[i], so the product has no carries.
+    Three bit-sliced counters over the unplaced entries mark the uncovered
+    positions with at least one, two and three open classes.  A node dies
+    when an uncovered position has none, or when the uncovered positions
+    outnumber the sum of T // moduli[i] over the unplaced entries.  Else it
+    branches on the least position x with one open class, else with two,
+    else on the least uncovered one (Knuth's Algorithm X, "Dancing Links",
+    arXiv cs/0011047): each unplaced entry i whose class x mod moduli[i] is
+    open takes it, and bars it in the later sibling branches once its
+    branch returns.  Any x must be covered by some entry, so every choice
+    vector is reached along one path.
+
+    visit(classes, barred) runs at each covering node: classes[i] is the
+    class of entry i or None, and the lists are live.  The covering nodes
+    are disjoint families of choice vectors: an entry left at None takes
+    any class outside barred[i], or none.  The walk stops, and returns
+    True, as soon as visit returns True; it returns False once exhausted.
     """
     entries = [(i, d, period_mask(d, T), T // d) for i, d in enumerate(moduli)]
     classes: list[int | None] = [None] * len(moduli)
-    barred = [0] * len(moduli)
+    barred = [0] * len(moduli) if barred is None else list(barred)
 
-    def walk(covered: int, room: int) -> None:
-        x = (~covered & (covered + 1)).bit_length() - 1
-        if not visit(x, covered, room, classes, barred) or x == T:
-            return
+    def walk(uncovered: int, room: int) -> bool:
+        if not uncovered:
+            return visit(classes, barred)
+        if uncovered.bit_count() > room:
+            return False
+        ones = twos = threes = 0
+        for i, d, period, size in entries:
+            if classes[i] is None:
+                m = ~(period * barred[i])
+                threes |= twos & m
+                twos |= ones & m
+                ones |= m
+        if uncovered & ~ones:
+            return False  # a dead position: no open class covers it
+        pick = uncovered & ~twos or uncovered & ~threes or uncovered
+        x = (pick & -pick).bit_length() - 1
         entry_barred = barred[:]
         for i, d, period, size in entries:
             if classes[i] is None:
                 c = x % d
                 if not barred[i] >> c & 1:
                     classes[i] = c
-                    walk(covered | period << c, room - size)
+                    if walk(uncovered & ~(period << c), room - size):
+                        return True
                     classes[i] = None
                     barred[i] |= 1 << c
         barred[:] = entry_barred
+        return False
 
-    walk(covered, sum(T // d for d in moduli))
+    if target is None:
+        target = (1 << T) - 1
+    return walk(target, sum(T // d for d in moduli))

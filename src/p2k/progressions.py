@@ -114,7 +114,9 @@ def verify_excludes_primes(progression: CdlProgression) -> ExclusionCertificate:
     )
 
 
-def membership_in_U_is_certified(progression: CdlProgression) -> bool:
+def membership_in_U_is_certified(
+    progression: CdlProgression, certificate: ExclusionCertificate | None = None
+) -> bool:
     """Full sufficiency chain for the progression to avoid p + 2^k entirely.
 
     The frozen types prove their own facts when built: PrimeAssignment that
@@ -124,7 +126,11 @@ def membership_in_U_is_certified(progression: CdlProgression) -> bool:
     moduli are the system's, the system covers Z (is_covering, not the
     enumeration's search), M = 2 * prod p_i, a = 2^{a_i} (mod p_i) for each
     class (not the CRT lift), and no assigned prime occurs as a - 2^k.
+    That last fact is read off certificate when given, which must be
+    verify_excludes_primes of this same progression.
     """
+    if certificate is not None and certificate.progression != progression:
+        raise ValueError("certificate is for a different progression")
     system = progression.system
     assignment = progression.assignment
     if assignment.moduli != system.moduli:
@@ -137,7 +143,9 @@ def membership_in_U_is_certified(progression: CdlProgression) -> bool:
     for cond, (_, p) in zip(system.classes, assignment.pairs):
         if a % p != pow(2, cond.residue, p):
             return False
-    return verify_excludes_primes(progression).verdict
+    if certificate is None:
+        certificate = verify_excludes_primes(progression)
+    return certificate.verdict
 
 
 def pair_gcd_census(progressions) -> tuple[int, int]:

@@ -14,6 +14,7 @@ from p2k.covering import (
     EnumerationReport,
     PrimeAssignment,
     _class_mask,
+    _minimal_coverings,
     canonical_assignment,
     cdl_progression_residue,
     double_cover,
@@ -23,7 +24,7 @@ from p2k.covering import (
     is_minimal,
     iter_prime_assignments,
 )
-from p2k.modcore import CongruenceCondition
+from p2k.modcore import CongruenceCondition, divisors
 from p2k.progressions import derive_progression, membership_in_U_is_certified
 
 
@@ -132,8 +133,6 @@ def test_assignments_equal_filtered_product(D):
     # oracle: every tuple of candidate primes (from the sympy table) with
     # distinct entries, sorted; the search must list exactly these, in
     # this order, and its first is canonical_assignment
-    from p2k.modcore import divisors
-
     divs = [d for d in divisors(D) if d >= 2]
     for r in range(1, len(divs) + 1):
         for mods in itertools.combinations(divs, r):
@@ -212,8 +211,6 @@ def test_enumerate_24_systems_reassert_invariants(enumeration_24):
 
 def _reference_enumeration_24():
     """Exhaustive product-loop re-enumeration, no pruning."""
-    from p2k.modcore import divisors
-
     found = set()
     divs = [d for d in divisors(24) if d >= 2]
     for r in range(1, len(divs) + 1):
@@ -242,12 +239,35 @@ def test_enumeration_is_exhaustive_for_24(enumeration_24):
     assert ours == reference
 
 
+def _plain_minimal_coverings(mods, D):
+    """Residue tuples of every minimal covering of Z/D with one class per
+    modulus of mods, sorted: residues tried in modulus order with the
+    budget prune and no quotient, minimality checked on each covering."""
+    masks = [[_class_mask(a, d, D) for a in range(d)] for d in mods]
+    residues = [0] * len(mods)
+    found = []
+
+    def search(depth, remaining, budget):
+        if remaining == 0:
+            if depth == len(mods):
+                found.append(tuple(residues))
+            return
+        if depth == len(mods) or remaining.bit_count() > budget:
+            return
+        for a in range(mods[depth]):
+            residues[depth] = a
+            search(depth + 1, remaining & ~masks[depth][a], budget - D // mods[depth])
+
+    search(0, (1 << D) - 1, sum(D // d for d in mods))
+    return sorted(
+        res for res in found if is_minimal(CoveringSystem.from_pairs(zip(res, mods)))
+    )
+
+
 def _residue_order_enumeration(D: int) -> EnumerationReport:
     """The full report by the plain search: modulus tuples by combinations,
-    residues tried in modulus order with the budget prune, minimality
-    filtered afterwards, one canonical assignment looked up per system."""
-    from p2k.modcore import divisors
-
+    then _plain_minimal_coverings, one canonical assignment looked up per
+    system."""
     divs = [d for d in divisors(D) if d >= 2]
     tuples = [
         mods
@@ -257,26 +277,13 @@ def _residue_order_enumeration(D: int) -> EnumerationReport:
         and math.lcm(*mods) == D
         and canonical_assignment(mods) is not None
     ]
-    full = (1 << D) - 1
-    found = []
-    for mods in tuples:
-        masks = [[_class_mask(a, d, D) for a in range(d)] for d in mods]
-        residues = [0] * len(mods)
-
-        def search(depth, remaining, budget):
-            if remaining == 0:
-                if depth == len(mods):
-                    found.append(CoveringSystem.from_pairs(zip(residues, mods)))
-                return
-            if depth == len(mods) or remaining.bit_count() > budget:
-                return
-            for a in range(mods[depth]):
-                residues[depth] = a
-                search(depth + 1, remaining & ~masks[depth][a], budget - D // mods[depth])
-
-        search(0, full, sum(D // d for d in mods))
     minimal = sorted(
-        (c for c in found if is_minimal(c)), key=lambda c: (c.moduli, c.residues)
+        (
+            CoveringSystem.from_pairs(zip(res, mods))
+            for mods in tuples
+            for res in _plain_minimal_coverings(mods, D)
+        ),
+        key=lambda c: (c.moduli, c.residues),
     )
     systems = tuple((c, canonical_assignment(c.moduli)) for c in minimal)
     progressions = tuple(cdl_progression_residue(c, asg) for c, asg in systems)
@@ -293,6 +300,23 @@ def test_enumeration_equals_residue_order_search(D):
         assert is_minimal(system)
         shifted = tuple((a + 1) % d for a, d in zip(system.residues, system.moduli))
         assert (system.moduli, shifted) in keys  # closed under x -> x + 1
+
+
+@pytest.mark.parametrize("D", [12, 24, 36])
+def test_unit_quotient_keeps_every_minimal_covering(D):
+    divs = [d for d in divisors(D) if d >= 2]
+    tuples = [
+        mods
+        for r in range(2, len(divs) + 1)
+        for mods in itertools.combinations(divs, r)
+        if sum(D // d for d in mods) > D and math.lcm(*mods) == D
+    ]
+    found = 0
+    for mods in tuples:
+        plain = _plain_minimal_coverings(mods, D)
+        assert _minimal_coverings(mods, D) == plain, mods
+        found += len(plain)
+    assert found
 
 
 def test_enumeration_counts_for_60_and_72():

@@ -9,6 +9,7 @@ from hypothesis import strategies as st
 
 from mersenne_table import MERSENNE_FACTORS
 from p2k import modcore
+from p2k.chenscan import _cover_walk
 from p2k.modcore import (
     _RHO_STEPS,
     CongruenceCondition,
@@ -271,8 +272,9 @@ def test_is_prime_matches_sieve_below_one_million():
 
 
 def _kernel_cases():
-    """Seeded moduli lists with repeats, T = lcm <= 24, random start masks,
-    small enough to enumerate every choice vector."""
+    """Seeded moduli lists with repeats, T = lcm <= 24, random target masks
+    and initially barred classes, small enough to enumerate every choice
+    vector."""
     rng = random.Random(2024)
     cases = []
     while len(cases) < 150:
@@ -281,8 +283,9 @@ def _kernel_cases():
         if math.prod(d + 1 for d in moduli) > 3000:
             continue
         T = math.lcm(*moduli)
-        start = rng.getrandbits(T) & rng.getrandbits(T)
-        cases.append((moduli, T, start))
+        target = rng.getrandbits(T) | rng.getrandbits(T)
+        barred = [rng.getrandbits(d) & rng.getrandbits(d) for d in moduli]
+        cases.append((moduli, T, target, barred))
     return cases
 
 
@@ -293,43 +296,49 @@ def test_period_mask_equals_bit_loop():
 
 
 def test_class_cover_search_equals_brute_force():
-    for moduli, T, start in _kernel_cases():
-        _check_class_cover_search(moduli, T, start)
+    for moduli, T, target, barred in _kernel_cases():
+        _check_class_cover_search(moduli, T, target, barred)
+        _check_class_cover_search(moduli, T, (1 << T) - 1, [0] * len(moduli))
 
 
-def _check_class_cover_search(moduli, T, start):
-    full = (1 << T) - 1
-
+def _check_class_cover_search(moduli, T, target, start_barred):
     def cover(vector):
-        covered = start
+        covered = 0
         for c, d in zip(vector, moduli):
             if c is not None:
                 covered |= sum(1 << x for x in range(c, T, d))
         return covered
 
-    vectors = list(itertools.product(*[[None, *range(d)] for d in moduli]))
-    covering = {v for v in vectors if cover(v) == full}
-    # the longest covered prefix from position 0 over every vector
-    longest = max((~m & (m + 1)).bit_length() - 1 for m in map(cover, vectors))
+    options = [
+        [None, *(c for c in range(d) if not bar >> c & 1)]
+        for d, bar in zip(moduli, start_barred)
+    ]
+    covering = {v for v in itertools.product(*options) if cover(v) & target == target}
 
     families = []
-    largest = [-1]
 
-    def visit(x, covered, room, classes, barred):
-        largest[0] = max(largest[0], x)
-        assert covered == cover(classes)
-        assert room == sum(T // d for c, d in zip(classes, moduli) if c is None)
-        if x == T:
-            choices = [
-                [c] if c is not None
-                else [None, *(e for e in range(d) if not bar >> e & 1)]
-                for c, d, bar in zip(classes, moduli, barred)
-            ]
-            families.append(set(itertools.product(*choices)))
-        return True
+    def visit(classes, barred):
+        assert cover(classes) & target == target
+        assert all(b & s == s for b, s in zip(barred, start_barred))
+        choices = [
+            [c] if c is not None
+            else [None, *(e for e in range(d) if not bar >> e & 1)]
+            for c, d, bar in zip(classes, moduli, barred)
+        ]
+        families.append(set(itertools.product(*choices)))
+        return False
 
-    class_cover_search(moduli, T, visit, start)
+    assert class_cover_search(moduli, T, visit, target, start_barred) is False
     union = set().union(*families)
     assert sum(map(len, families)) == len(union)  # pairwise disjoint
     assert union == covering
-    assert largest[0] == longest
+    # a visit returning True stops the walk at the first covering node
+    calls = []
+    stopped = class_cover_search(
+        moduli, T, lambda classes, barred: calls.append(1) or True, target, start_barred
+    )
+    assert stopped == bool(covering) and len(calls) == int(stopped)
+    # the longest covered prefix from position 0 over every vector
+    vectors = itertools.product(*[[None, *range(d)] for d in moduli])
+    longest = max((~m & (m + 1)).bit_length() - 1 for m in map(cover, vectors))
+    assert _cover_walk(moduli)[0] == longest

@@ -1,5 +1,6 @@
 """sha256 pins of the published outputs: the CDL enumerations, the density
-bounds and the Chen verdicts at multiples of 11184810.  A change meant to
+bounds and the Chen verdicts at multiples of 11184810 and at every even
+b <= 20000.  A change meant to
 keep them byte-identical is checked here; one that alters them on purpose
 updates the hash and says why."""
 
@@ -21,7 +22,11 @@ ENUMERATION_HASHES = {
     24: "98eec4b34ac7e83e821c932a1cd003591757179e77db93823c57e01d4f051702",
     36: "c57f494a75c5d5e95d11443ba76b504e1e031c58057644afb470b92a33df70a0",
     48: "d86c6c464ba948b21994368b9b413938ec3f9edb359e0d767c0871b14be0bae1",
+    60: "997009555677584e375fde13019fe1c16e18e573fa8cf58568b1913e769b7f88",
+    72: "3f4ead2ee3091d4422664e06805e9deb423ca51999a38534aeb1d03814a66a0f",
     80: "fd069a3b3fed1b635772b6513443df64413e112d842223ea94d206e16df62dca",
+    96: "5f606e019bf27ff37259c65d6a89b63fc0c8c5e3097bf4c5f6c65ae6b652cab6",
+    108: "e62c0797f5e1789379e26de937ca48f9b8bef03da96e18c278dca080a53c718e",
 }
 
 # the nine published density fixtures and the 11-prime set
@@ -53,6 +58,10 @@ VERDICT_HASHES = {
     4: "bb058af4ea3205a9296d691c0f46520052d490e611588716a76c2a4c7cb5f653",
 }
 
+# every even b <= 20000, one to_json() line each: covered b (their shift
+# counts are the longest covered prefix plus one) and the uncovered ones
+SMALL_VERDICTS_HASH = "c2697e5988831c6bede49dbf42d83ba5ba130337995c0ce8c4074664ca622e84"
+
 
 @pytest.mark.parametrize("D", sorted(ENUMERATION_HASHES))
 def test_enumeration_json_is_pinned(D, enumeration_24):
@@ -71,3 +80,8 @@ def test_estimate_json_is_pinned(primes):
 def test_verdict_json_is_pinned(k, big_modulus_verdict):
     verdict = big_modulus_verdict if k == 1 else check_even_modulus(k * M48)
     assert _sha256(verdict.to_json()) == VERDICT_HASHES[k]
+
+
+def test_small_verdicts_are_pinned():
+    lines = "".join(check_even_modulus(b).to_json() + "\n" for b in range(2, 20001, 2))
+    assert _sha256(lines) == SMALL_VERDICTS_HASH
