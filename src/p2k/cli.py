@@ -61,11 +61,12 @@ def _cmd_cover_enumerate(args) -> int:
             _emit(f"D={report.D}: skipped ({report.skip_reason})")
         else:
             _emit(
-                f"D={report.D}: {len(report.systems)} minimal CDL covering systems, "
+                f"D={report.D}: {len(report.progressions)} minimal CDL covering systems, "
                 f"{report.distinct_progression_count} distinct progressions"
             )
-            for (system, asg), (a, m) in zip(report.systems, report.progressions):
-                classes = " ".join(f"{c.residue}(mod {c.modulus})" for c in system.classes)
+            rows = ((mods, res) for mods, _, group in report.records for res in group)
+            for (mods, res), (a, m) in zip(rows, report.progressions):
+                classes = " ".join(f"{r}(mod {d})" for r, d in zip(res, mods))
                 _emit(f"  {classes}  ->  {a} (mod {m})")
     return 0
 

@@ -13,7 +13,10 @@ unit multipliers (the largest modulus fixed on class 0, the next one on 0
 or a proper divisor of its modulus, the images emitted afterwards) with
 modcore.class_cover_search, whose positions are the residues of Z/D, and
 checks minimality only at covering leaves; enumerate_cdl_systems gives the
-details.
+details.  The report stores plain ints, one record per modulus tuple with
+minimal coverings: (moduli, canonical prime assignment, residue tuples).
+The CongruenceCondition/CoveringSystem objects and the progressions of its
+systems are built from the records only when read.
 """
 
 from __future__ import annotations
@@ -78,6 +81,9 @@ class PrimeAssignment:
     pairs: tuple[tuple[int, int], ...]
 
     def __post_init__(self):
+        mods = [d for d, _ in self.pairs]
+        if len(set(mods)) != len(mods):
+            raise ValueError(f"assigned moduli must be distinct, got {mods}")
         primes = [p for _, p in self.pairs]
         if len(set(primes)) != len(primes):
             raise ValueError(f"assigned primes must be distinct, got {primes}")
@@ -107,15 +113,34 @@ class PrimeAssignment:
 class EnumerationReport:
     """All minimal CDL covering systems with lcm of moduli exactly D.
 
-    Each entry carries the system, the canonical prime assignment of its
-    moduli (the first that iter_prime_assignments yields, the same search
-    that admitted the modulus tuple), and the supported progression (a, M).
+    records holds one (moduli, assignment, residue tuples) triple per
+    modulus tuple that has minimal coverings, in ascending order of the
+    moduli: the tuple's canonical prime assignment (the first that
+    iter_prime_assignments yields, the same search that admitted the
+    tuple) and the sorted residue tuples of its systems, one residue per
+    modulus.  systems and progressions list each system with its
+    assignment, and the progression (a, M) it supports, in that order.
     """
 
     D: int
-    systems: tuple[tuple[CoveringSystem, PrimeAssignment], ...]
-    progressions: tuple[tuple[int, int], ...]  # (a, M) per system, same order
+    records: tuple[tuple[tuple[int, ...], PrimeAssignment, tuple[tuple[int, ...], ...]], ...]
     skip_reason: str | None = None
+
+    @cached_property
+    def systems(self) -> tuple[tuple[CoveringSystem, PrimeAssignment], ...]:
+        return tuple(
+            (CoveringSystem(tuple(map(CongruenceCondition, res, mods))), asg)
+            for mods, asg, residue_tuples in self.records
+            for res in residue_tuples
+        )
+
+    @cached_property
+    def progressions(self) -> tuple[tuple[int, int], ...]:
+        return tuple(
+            prog
+            for _, asg, residue_tuples in self.records
+            for prog in _progressions(asg.primes, residue_tuples)
+        )
 
     @property
     def distinct_progression_count(self) -> int:
@@ -124,15 +149,17 @@ class EnumerationReport:
         return len(set(self.progressions))
 
     def to_json(self) -> str:
+        progs = iter(self.progressions)
         payload = {
             "D": self.D,
             "systems": [
                 {
-                    "classes": [[c.residue, c.modulus] for c in sys.classes],
+                    "classes": [[a, d] for a, d in zip(res, mods)],
                     "assignment": [[d, p] for d, p in asg.pairs],
-                    "progression": [a, m],
+                    "progression": list(next(progs)),
                 }
-                for (sys, asg), (a, m) in zip(self.systems, self.progressions)
+                for mods, asg, residue_tuples in self.records
+                for res in residue_tuples
             ],
             "distinct_progression_count": self.distinct_progression_count,
         }
@@ -141,23 +168,17 @@ class EnumerationReport:
         return json.dumps(payload, indent=2)
 
     def to_csv(self) -> str:
-        """One column per covering-class modulus (ascending), final column
-        the progression residue; systems grouped by shared modulus tuple."""
+        """One block per modulus tuple, blank-line separated: a header of
+        one column per modulus (ascending) and a final column for the
+        progression residue a, then one row per system."""
         out = io.StringIO()
         writer = csv.writer(out)
-        by_moduli: dict[tuple[int, ...], list[int]] = {}
-        for idx, (sys, _) in enumerate(self.systems):
-            by_moduli.setdefault(sys.moduli, []).append(idx)
-        first = True
-        for moduli in sorted(by_moduli):
-            if not first:
+        progs = iter(self.progressions)
+        for i, (mods, _, residue_tuples) in enumerate(self.records):
+            if i:
                 writer.writerow([])
-            first = False
-            writer.writerow([f"mod_{d}" for d in moduli] + ["a"])
-            for idx in by_moduli[moduli]:
-                sys, _ = self.systems[idx]
-                a, _m = self.progressions[idx]
-                writer.writerow(list(sys.residues) + [a])
+            writer.writerow([f"mod_{d}" for d in mods] + ["a"])
+            writer.writerows([*res, next(progs)[0]] for res in residue_tuples)
         return out.getvalue()
 
 
@@ -251,10 +272,22 @@ def canonical_assignment(moduli) -> PrimeAssignment | None:
 def _crt_basis(primes: tuple[int, ...]) -> tuple[int, int, tuple[int, ...]]:
     """M = 2 * prod(primes) and the CRT basis mod M for distinct odd primes:
     M / 2 (1 mod 2, 0 mod every p_i) and, per p_i, the e_i with e_i = 1
-    (mod p_i) and 0 modulo 2 and the other primes.  Bounded: the systems
-    of one modulus tuple share its canonical primes and come in a row."""
+    (mod p_i) and 0 modulo 2 and the other primes.  Bounded: single-system
+    callers such as derive_progression repeat a few prime tuples."""
     M = 2 * math.prod(primes)
     return M, M // 2, tuple(M // p * pow(M // p, -1, p) for p in primes)
+
+
+def _progressions(primes: tuple[int, ...], residue_tuples) -> list[tuple[int, int]]:
+    """The progression (a, M) of each residue tuple (r_i): the CRT class
+    x = 1 (mod 2), x = 2^{r_i} (mod p_i), with M = 2 * prod p_i.  The
+    primes must be distinct and odd, as a PrimeAssignment's are, so the
+    basis exists; each sum reduced mod M is the unique x in [0, M)."""
+    M, half, basis = _crt_basis(primes)
+    return [
+        ((half + sum(pow(2, r, p) * e for r, p, e in zip(res, primes, basis))) % M, M)
+        for res in residue_tuples
+    ]
 
 
 def cdl_progression_residue(system: CoveringSystem, assignment: PrimeAssignment) -> tuple[int, int]:
@@ -265,12 +298,7 @@ def cdl_progression_residue(system: CoveringSystem, assignment: PrimeAssignment)
             f"assignment moduli {assignment.moduli} do not match "
             f"system moduli {system.moduli}"
         )
-    # the assigned primes are distinct and odd (PrimeAssignment), so the
-    # basis exists; the sum reduced mod M is the unique x in [0, M)
-    M, x, basis = _crt_basis(assignment.primes)
-    for cond, p, e in zip(system.classes, assignment.primes, basis):
-        x += pow(2, cond.residue, p) * e
-    return x % M, M
+    return _progressions(assignment.primes, [system.residues])[0]
 
 
 def _minimal_coverings(mods: tuple[int, ...], D: int) -> list[tuple[int, ...]]:
@@ -344,8 +372,9 @@ def enumerate_cdl_systems(D: int) -> EnumerationReport:
     * Leaf minimality.  A covering leaf is kept iff each class is
       essential (_each_essential, shared with is_minimal).
 
-    Each system is recorded with the tuple's canonical prime assignment
-    and its progression, sorted by (moduli, residues).
+    Each tuple with minimal coverings gives one record of the report: the
+    tuple, its canonical prime assignment and its sorted residue tuples,
+    the records in ascending order of the tuples.
     """
     if D < 1:
         raise ValueError(f"D must be >= 1, got D={D}")
@@ -356,27 +385,22 @@ def enumerate_cdl_systems(D: int) -> EnumerationReport:
     # exceeds D; pick's root prune is the same test
     total_rest = sum(D // d for d in divs)
     if total_rest <= D:
-        return EnumerationReport(
-            D=D,
-            systems=(),
-            progressions=(),
-            skip_reason=f"sum of 1/d over divisors of {D} does not exceed 2",
-        )
+        reason = f"sum of 1/d over divisors of {D} does not exceed 2"
+        return EnumerationReport(D=D, records=(), skip_reason=reason)
     # raise early if 2^D - 1 cannot be factored; this also factors 2^d - 1
     # for every d | D that the tuple search asks for
     mersenne_prime_divisors(D)
 
     # modulus tuples: subsets with sum 1/d > 1, lcm exactly D and an
-    # assignment, each kept with its canonical assignment
-    tuples: list[tuple[tuple[int, ...], PrimeAssignment]] = []
+    # assignment; each with minimal coverings gives a record
+    records = []
 
     def pick(idx: int, subset: list[int], weight: int, rest_weight: int, lcm: int):
         # weight counts sum of D/d so far; need strict > D at the end
         if idx == len(divs):
-            if weight > D and lcm == D:
-                asg = canonical_assignment(subset)
-                if asg is not None:
-                    tuples.append((tuple(subset), asg))
+            if weight > D and lcm == D and (asg := canonical_assignment(subset)):
+                if residue_tuples := _minimal_coverings(tuple(subset), D):
+                    records.append((tuple(subset), asg, tuple(residue_tuples)))
             return
         if weight + rest_weight <= D:
             return  # cannot reach density 1 even taking everything
@@ -387,19 +411,7 @@ def enumerate_cdl_systems(D: int) -> EnumerationReport:
         subset.pop()
 
     pick(0, [], 0, total_rest, 1)
-
-    systems = []
-    progressions = []
-    for mods, asg in sorted(tuples, key=lambda t: t[0]):
-        for residues in _minimal_coverings(mods, D):
-            system = CoveringSystem(
-                tuple(CongruenceCondition(a, d) for a, d in zip(residues, mods))
-            )
-            systems.append((system, asg))
-            progressions.append(cdl_progression_residue(system, asg))
-    return EnumerationReport(
-        D=D, systems=tuple(systems), progressions=tuple(progressions)
-    )
+    return EnumerationReport(D=D, records=tuple(sorted(records, key=lambda r: r[0])))
 
 
 def double_cover(c: CoveringSystem) -> CoveringSystem:

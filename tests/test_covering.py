@@ -54,11 +54,14 @@ def test_assignment_type_invariants():
     # membership_in_U_is_certified trusts these: distinct primes, each
     # dividing 2^d - 1, fixed once the assignment is built
     for pairs in ([(2, 3), (4, 3)], [(2, 3), (3, 3)]):
-        with pytest.raises(ValueError, match="must be distinct"):
+        with pytest.raises(ValueError, match="primes must be distinct"):
             PrimeAssignment.from_pairs(pairs)
     for pairs in ([(2, 5)], [(2, 3), (4, 7)]):
         with pytest.raises(ValueError, match="does not divide"):
             PrimeAssignment.from_pairs(pairs)
+    # 3 and 5 both divide 2^4 - 1; the map must still be injective
+    with pytest.raises(ValueError, match="moduli must be distinct"):
+        PrimeAssignment.from_pairs([(4, 3), (4, 5)])
     with pytest.raises(dataclasses.FrozenInstanceError):
         ERDOS_ASSIGNMENT.pairs = ((2, 3),)
 
@@ -266,28 +269,23 @@ def _plain_minimal_coverings(mods, D):
 
 def _residue_order_enumeration(D: int) -> EnumerationReport:
     """The full report by the plain search: modulus tuples by combinations,
-    then _plain_minimal_coverings, one canonical assignment looked up per
-    system."""
+    in ascending order, each with minimal coverings recorded with its
+    canonical assignment and _plain_minimal_coverings."""
     divs = [d for d in divisors(D) if d >= 2]
-    tuples = [
+    tuples = sorted(
         mods
         for r in range(1, len(divs) + 1)
         for mods in itertools.combinations(divs, r)
         if sum(D // d for d in mods) > D
         and math.lcm(*mods) == D
         and canonical_assignment(mods) is not None
-    ]
-    minimal = sorted(
-        (
-            CoveringSystem.from_pairs(zip(res, mods))
-            for mods in tuples
-            for res in _plain_minimal_coverings(mods, D)
-        ),
-        key=lambda c: (c.moduli, c.residues),
     )
-    systems = tuple((c, canonical_assignment(c.moduli)) for c in minimal)
-    progressions = tuple(cdl_progression_residue(c, asg) for c, asg in systems)
-    return EnumerationReport(D=D, systems=systems, progressions=progressions)
+    records = tuple(
+        (mods, canonical_assignment(mods), tuple(found))
+        for mods in tuples
+        if (found := _plain_minimal_coverings(mods, D))
+    )
+    return EnumerationReport(D=D, records=records)
 
 
 @pytest.mark.parametrize("D", [24, 36, 48, 80])
@@ -300,6 +298,15 @@ def test_enumeration_equals_residue_order_search(D):
         assert is_minimal(system)
         shifted = tuple((a + 1) % d for a, d in zip(system.residues, system.moduli))
         assert (system.moduli, shifted) in keys  # closed under x -> x + 1
+    # report equality compares records only, so the progressions derived
+    # from them are checked here by plain pow, not through the CRT lift
+    assert len(report.progressions) == len(report.systems)
+    for (system, asg), (a, M) in zip(report.systems, report.progressions):
+        assert a % 2 == 1 and 0 < a < M
+        assert M == 2 * math.prod(asg.primes)
+        assert asg.moduli == system.moduli
+        for r, p in zip(system.residues, asg.primes):
+            assert a % p == pow(2, r, p)
 
 
 @pytest.mark.parametrize("D", [12, 24, 36])

@@ -1,8 +1,8 @@
-"""sha256 pins of the published outputs: the CDL enumerations, the density
-bounds and the Chen verdicts at multiples of 11184810 and at every even
-b <= 20000.  A change meant to
-keep them byte-identical is checked here; one that alters them on purpose
-updates the hash and says why."""
+"""sha256 pins of the published outputs: the CDL enumerations (JSON and
+CSV), the density bounds and the Chen verdicts at multiples of 11184810 and
+at every even b <= 20000.  A change meant to keep them byte-identical is
+checked here; one that alters them on purpose updates the hash and says
+why."""
 
 import hashlib
 
@@ -27,6 +27,19 @@ ENUMERATION_HASHES = {
     80: "fd069a3b3fed1b635772b6513443df64413e112d842223ea94d206e16df62dca",
     96: "5f606e019bf27ff37259c65d6a89b63fc0c8c5e3097bf4c5f6c65ae6b652cab6",
     108: "e62c0797f5e1789379e26de937ca48f9b8bef03da96e18c278dca080a53c718e",
+}
+
+# to_csv() of the same enumerations, taken before the report kept one
+# record per modulus tuple
+ENUMERATION_CSV_HASHES = {
+    24: "6142665d56358097bdcc3f6e5388fc53c3d76fb31da0163463613aca9f3fd78f",
+    36: "2100cb901a6f01f222f5f41b76b708cf6302b9961bbdedf54f4544672e3e0aa5",
+    48: "01bde725309c99186d5484d0a0955ae9699b50ed9ff541191d6f78220d1b3489",
+    60: "19594d7e669b16170f2ecb16d36c1ce3049f43aaca84b8d2d4e0644d6eb636aa",
+    72: "6110577c978380e0d72e0b060cef21b6f72f8d86e78c39df23fc0c9f3d78bea1",
+    80: "f7a2fd3a02971dc1f11d2e6701cf3dfe803eea4050979e3773e2447e7bdf8e33",
+    96: "87fd80deef4e711840a29c67328062caabe800365ac8d1073e6e182c4299456f",
+    108: "ce818c028f43265f972912789f22f6a259574a6b57c74bf02f666a7276b4b4f6",
 }
 
 # the nine published density fixtures and the 11-prime set
@@ -67,6 +80,12 @@ SMALL_VERDICTS_HASH = "c2697e5988831c6bede49dbf42d83ba5ba130337995c0ce8c4074664c
 def test_enumeration_json_is_pinned(D, enumeration_24):
     report = enumeration_24 if D == 24 else enumerate_cdl_systems(D)
     assert _sha256(report.to_json()) == ENUMERATION_HASHES[D]
+
+
+@pytest.mark.parametrize("D", sorted(ENUMERATION_CSV_HASHES))
+def test_enumeration_csv_is_pinned(D, enumeration_24):
+    report = enumeration_24 if D == 24 else enumerate_cdl_systems(D)
+    assert _sha256(report.to_csv()) == ENUMERATION_CSV_HASHES[D]
 
 
 @pytest.mark.parametrize(
