@@ -27,10 +27,13 @@ longest covered prefix.
 * Uncovered b: the shift values 2^k mod b run through v2(b) - 1 pre-period
   values and then ord_2(b_odd) periodic ones, and the strike-out stops at the
   first repeat, so shifts_used = v2(b) - 1 + ord_2(b_odd).  leftover holds
-  every odd j whose choice vector covers Z/T, rebuilt by CRT: class e for q
-  gives j = 2^e (mod q), no class gives the residues mod q outside <2>, each
-  lifted to the power of q in b and combined with every odd residue mod
-  2^v2(b).
+  every odd j whose choice vector covers Z/T, rebuilt from each covering
+  family of the walk: class e for q gives j = 2^e (mod q), an entry left
+  open every residue mod q but the 2^e of its barred classes, each lifted
+  to the power of q in b.  The CRT basis of modcore.crt_basis, which the
+  CDL progressions (covering) read too, combines them with every odd
+  residue mod 2^v2(b): each residue adds its multiple of its modulus'
+  basis element, and each sum is reduced mod b once.
 
 The range scan drops every b that fails the counting screen
 sum(T // o) >= T, i.e. sum(1 / o) >= 1: one class mod o holds T / o of the
@@ -57,6 +60,7 @@ from dataclasses import dataclass, field
 from .modcore import (
     _ord2_prime,
     class_cover_search,
+    crt_basis,
     factorize,
     is_prime,
     ord2,
@@ -133,23 +137,22 @@ def _cover_walk(orders) -> tuple[int, list[tuple[list, list]]]:
 
 def _leftover(two: int, odd_factors, orders, families) -> tuple[int, ...]:
     """Odd residues mod two * prod(q^f) whose blocked classes cover Z, by
-    CRT over the covering families of _cover_walk."""
+    CRT over the covering families of _cover_walk, as the module docstring
+    says."""
+    M, (e_two, *basis) = crt_basis((two, *(q**f for q, f in odd_factors)))
     out: list[int] = []
     for classes, barred in families:
-        residues, m = list(range(1, two, 2)), two
-        for (q, f), o, c, bar in zip(odd_factors, orders, classes, barred):
+        sums = [s * e_two for s in range(1, two, 2)]
+        for (q, f), o, c, bar, e in zip(odd_factors, orders, classes, barred, basis):
             # position class c stands for exponent class c + 1
             if c is None:
-                blocked = {pow(2, e + 1, q) for e in range(o) if bar >> e & 1}
+                blocked = {pow(2, k + 1, q) for k in range(o) if bar >> k & 1}
                 base = [r for r in range(q) if r not in blocked]
             else:
                 base = [pow(2, c + 1, q)]
-            qf = q**f
-            lifts = [r + q * t for r in base for t in range(qf // q)]
-            inv = pow(m, -1, qf)
-            residues = [s + m * ((r - s) * inv % qf) for s in residues for r in lifts]
-            m *= qf
-        out.extend(residues)
+            lifts = [(r + q * t) * e for r in base for t in range(q ** (f - 1))]
+            sums = [s + lift for s in sums for lift in lifts]
+        out.extend(s % M for s in sums)
     return tuple(sorted(out))
 
 

@@ -26,11 +26,12 @@ import io
 import json
 import math
 from dataclasses import dataclass
-from functools import cached_property, lru_cache
+from functools import cached_property
 
 from .modcore import (
     CongruenceCondition,
     class_cover_search,
+    crt_basis,
     divisors,
     is_prime,
     mersenne_prime_divisors,
@@ -268,22 +269,12 @@ def canonical_assignment(moduli) -> PrimeAssignment | None:
     return next(iter_prime_assignments(moduli), None)
 
 
-@lru_cache(maxsize=256)
-def _crt_basis(primes: tuple[int, ...]) -> tuple[int, int, tuple[int, ...]]:
-    """M = 2 * prod(primes) and the CRT basis mod M for distinct odd primes:
-    M / 2 (1 mod 2, 0 mod every p_i) and, per p_i, the e_i with e_i = 1
-    (mod p_i) and 0 modulo 2 and the other primes.  Bounded: single-system
-    callers such as derive_progression repeat a few prime tuples."""
-    M = 2 * math.prod(primes)
-    return M, M // 2, tuple(M // p * pow(M // p, -1, p) for p in primes)
-
-
 def _progressions(primes: tuple[int, ...], residue_tuples) -> list[tuple[int, int]]:
     """The progression (a, M) of each residue tuple (r_i): the CRT class
     x = 1 (mod 2), x = 2^{r_i} (mod p_i), with M = 2 * prod p_i.  The
     primes must be distinct and odd, as a PrimeAssignment's are, so the
     basis exists; each sum reduced mod M is the unique x in [0, M)."""
-    M, half, basis = _crt_basis(primes)
+    M, (half, *basis) = crt_basis((2, *primes))
     return [
         ((half + sum(pow(2, r, p) * e for r, p, e in zip(res, primes, basis))) % M, M)
         for res in residue_tuples

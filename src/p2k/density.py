@@ -394,7 +394,8 @@ def _unit_generators(g: int) -> list[int]:
 
 def _affine_fold(least, weights, g: int):
     """Group one side's profile rotation orbits by AGL(1, Z/g) orbit:
-    (representative keys, summed weights, whether the side is invariant).
+    (representative keys, summed weights), or None unless the side is
+    invariant.
 
     A unit u maps a profile P to P(u r), a permutation of its entries; an
     orbit's image under each generator of (Z/g)^x is looked up by its least
@@ -402,28 +403,24 @@ def _affine_fold(least, weights, g: int):
     profile multiset fixed by every map r -> u r + s, exactly when every
     image is found with the weight of the orbit it came from (an orbit and
     its image have the same period, so equal W means equal weight per
-    member).  Each orbit joins the least-keyed orbit that the images reach
-    from it, always one of its own affine orbit; images not found are
-    skipped."""
+    member); the first generator with an image missing or of another
+    weight gives None.  Each orbit joins the least-keyed orbit that the
+    images reach from it, always one of its own affine orbit."""
     prof = _profile_matrix(least, g)
-    index = _np.arange(len(least))
     images = []
-    invariant = True
     for u in _unit_generators(g):
         image, _ = _least_rotations(prof[:, u * _np.arange(g) % g])
         pos = _np.minimum(_np.searchsorted(least, image), len(least) - 1)
-        found = least[pos] == image
-        invariant = invariant and bool(found.all()) and bool(
-            (weights[pos] == weights).all()
-        )
-        images.append(_np.where(found, pos, index))
-    rep = index
+        if not ((least[pos] == image).all() and (weights[pos] == weights).all()):
+            return None
+        images.append(pos)
+    rep = _np.arange(len(least))
     while not _np.array_equal(
         grown := reduce(_np.minimum, (rep[image] for image in images), rep), rep
     ):
         rep = grown
     reps, inverse = _np.unique(rep, return_inverse=True)
-    return least[reps], _np.bincount(inverse, weights=weights), invariant
+    return least[reps], _np.bincount(inverse, weights=weights)
 
 
 def _cross_arrangement(a: Cluster, b: Cluster):
@@ -437,10 +434,10 @@ def _cross_arrangement(a: Cluster, b: Cluster):
     g = math.gcd(a.order, b.order)
     sides = [_profile_orbits(c, g) for c in (a, b)]
     folds = [_affine_fold(keys, weights, g) for keys, _, weights in sides]
-    if not all(invariant for _, _, invariant in folds):
+    if any(fold is None for fold in folds):
         return None
     x = min((0, 1), key=lambda x: len(folds[x][0]) * int(sides[1 - x][1].sum()))
-    keys, weights, _ = folds[x]
+    keys, weights = folds[x]
     keys_m, q_m, w_m = sides[1 - x]
     # the members of a profile orbit are its least profile rotated by s < q;
     # with the orbits in descending period, those with q > s are a prefix
@@ -588,8 +585,11 @@ def brute_force_delta(M: int) -> DeltaHistogram:
 
 def _ln2_bounds() -> tuple[Fraction, Fraction]:
     """Rational enclosure of ln 2 from the first 200 terms of
-    sum 1/(k 2^k); the tail after them is below 1/(201 * 2^200)."""
-    s = sum((Fraction(1, k << k) for k in range(1, 201)), Fraction(0))
+    sum 1/(k 2^k); the tail after them is below 1/(201 * 2^200).  The terms
+    are summed as one numerator over their common denominator
+    lcm(1..200) * 2^200, a single reduction rather than 200."""
+    L = math.lcm(*range(1, 201))
+    s = Fraction(sum((L // k) << (200 - k) for k in range(1, 201)), L << 200)
     return s, s + Fraction(1, 201 << 200)
 
 

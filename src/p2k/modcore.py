@@ -2,10 +2,12 @@
 
 Covers multiplicative orders of 2, deterministic factorization (trial
 division, then Pollard-Brent rho, every factor proven prime), Euler phi,
-the prime divisors of 2^d - 1, and class_cover_search, the one search for
-one class (or none) per modulus covering Z/T (or a target part of it) that
-both the CDL enumeration (covering) and the Chen scan (chenscan) run; it
-branches on a position with the fewest open classes.
+the prime divisors of 2^d - 1, crt_basis, the CRT idempotents that lift
+residues to a product of coprime moduli for both the CDL progressions
+(covering) and the Chen leftovers (chenscan), and class_cover_search, the
+one search for one class (or none) per modulus covering Z/T (or a target
+part of it) that both the CDL enumeration (covering) and the Chen scan
+(chenscan) run; it branches on a position with the fewest open classes.
 """
 
 from __future__ import annotations
@@ -297,6 +299,17 @@ def primitive_mersenne_divisors(d: int) -> list[int]:
     Nonempty for every d >= 2 except d = 6 (Bang's theorem).
     """
     return [p for p in mersenne_prime_divisors(d) if _ord2_prime(p) == d]
+
+
+@lru_cache(maxsize=256)
+def crt_basis(moduli: tuple[int, ...]) -> tuple[int, tuple[int, ...]]:
+    """M = prod(moduli) and the CRT basis mod M of pairwise-coprime moduli:
+    per m_i the e_i with e_i = 1 (mod m_i) and 0 modulo the others, so the
+    x in [0, M) with x = r_i (mod m_i) is sum(r_i * e_i) % M.  Bounded like
+    period_mask: the single-progression and Chen verdict callers repeat a
+    few tuples."""
+    M = math.prod(moduli)
+    return M, tuple(M // m * pow(M // m, -1, m) for m in moduli)
 
 
 @lru_cache(maxsize=256)

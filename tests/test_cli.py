@@ -9,9 +9,10 @@ import pytest
 
 import p2k
 from conftest import RESIDUES_48
+from p2k import density
 from p2k.cli import dispatch
 from p2k.covering import enumerate_cdl_systems
-from p2k.density import run_estimate
+from p2k.density import DeltaHistogram, run_estimate
 
 
 def run_cli(capsys, *argv):
@@ -114,6 +115,8 @@ def test_progression_derive_modulus_1_is_domain_error(capsys):
 @pytest.mark.parametrize("argv, expected_out", [
     (["cover", "enumerate", "--D", "6", "--format", "csv"], "\n"),
     (["progression", "census", "--D", "6"], "0 progressions, 0 pairs, 0 with gcd 2\n"),
+    (["cover", "enumerate", "--D", "6"],
+     "D=6: skipped (sum of 1/d over divisors of 6 does not exceed 2)\n"),
 ])
 def test_skipped_D_notes_its_reason_on_stderr(capsys, argv, expected_out):
     code, out, err = run_cli(capsys, *argv)
@@ -408,6 +411,23 @@ def test_density_oracle_beyond_its_range_is_domain_error(capsys):
     assert code == 1
     assert out == ""
     assert "error:" in err
+
+
+def test_density_oracle_disagreement_exits_1(capsys, monkeypatch):
+    # an oracle histogram with one count moved off the pipeline's
+    real = density.brute_force_delta
+
+    def skewed(M):
+        hist = real(M)
+        nu, c = hist.sorted_items()[0]
+        counts = {**hist.counts, nu: c - 1}
+        counts[nu + 1] = counts.get(nu + 1, 0) + 1
+        return DeltaHistogram(M=M, counts=counts)
+
+    monkeypatch.setattr(density, "brute_force_delta", skewed)
+    code, out, err = run_cli(capsys, "density", "--primes", "3,5,7", "--oracle")
+    assert (code, out) == (1, "")
+    assert err == "error: cluster pipeline disagrees with brute-force oracle\n"
 
 
 _SURVIVORS = ",".join(map(str, sorted(RESIDUES_48)))

@@ -241,7 +241,7 @@ def test_cross_numpy_quotient_equals_pure_and_oracle(split):
     g = math.gcd(a.order, b.order)
     for c in (a, b):
         keys, _, weights = _profile_orbits(c, g)
-        assert _affine_fold(keys, weights, g)[2]
+        assert _affine_fold(keys, weights, g) is not None
     assert augment(a, order).rows == _lift_rows(a.rows, a.order, order)
     merged = merge(a, b)
     merged.validate()
@@ -273,8 +273,9 @@ def test_density_11_affine_fold_sizes():
     sizes = []
     for c in (a, b):
         keys, _, weights = _profile_orbits(c, 60)
-        reps, summed, invariant = _affine_fold(keys, weights, 60)
-        assert invariant
+        fold = _affine_fold(keys, weights, 60)
+        assert fold is not None
+        reps, summed = fold
         assert summed.sum() == weights.sum() == c.modulus_part
         sizes.append((len(keys), len(reps)))
     assert sizes == [(271, 94), (416, 209)]
@@ -303,7 +304,7 @@ def test_rotation_closed_but_not_affine_invariant_falls_back():
     d = Cluster(19, 5, {0b11111: 4, 0b00011: 10, 0b00101: 5})
     for x in (c, d):
         keys, _, weights = _profile_orbits(x, 5)
-        assert not _affine_fold(keys, weights, 5)[2]
+        assert _affine_fold(keys, weights, 5) is None
     assert _cross_histogram_numpy(c, d) == _cross_histogram_pure(c, d) == _cross_rows(c, d)
     # neither side may fold, so the numpy engine hands the pair on
     assert _cross_arrangement(c, d) is None
@@ -311,7 +312,7 @@ def test_rotation_closed_but_not_affine_invariant_falls_back():
     # would sort before (the full row) has the same weight
     e = Cluster(11, 5, {0b11111: 5, 0b00011: 5, 0: 1})
     keys, _, weights = _profile_orbits(e, 5)
-    assert not _affine_fold(keys, weights, 5)[2]
+    assert _affine_fold(keys, weights, 5) is None
     assert _cross_histogram_numpy(e, d) == _cross_histogram_pure(e, d) == _cross_rows(e, d)
     # one invariant side is not enough
     p31 = prime_cluster(31)
@@ -334,7 +335,7 @@ def test_large_non_invariant_pair_takes_the_joint_orbit_loop():
     altered = Cluster(a.modulus_part, a.order, moved)
     altered.validate()
     keys, _, weights = _profile_orbits(altered, 20)
-    assert not _affine_fold(keys, weights, 20)[2]
+    assert _affine_fold(keys, weights, 20) is None
     assert _joint_orbit_count(altered, b) >= 1 << 12
     assert _cross_engine(altered, b) is _cross_histogram_numpy
     assert _cross_arrangement(altered, b) is None

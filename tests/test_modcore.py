@@ -14,6 +14,7 @@ from p2k.modcore import (
     _RHO_STEPS,
     CongruenceCondition,
     class_cover_search,
+    crt_basis,
     divisors,
     euler_phi,
     factorize,
@@ -287,6 +288,34 @@ def _kernel_cases():
         barred = [rng.getrandbits(d) & rng.getrandbits(d) for d in moduli]
         cases.append((moduli, T, target, barred))
     return cases
+
+
+@settings(max_examples=200, deadline=None)
+@given(
+    st.integers(min_value=1, max_value=5),
+    st.lists(
+        st.tuples(st.sampled_from((3, 5, 7, 11, 13, 17)), st.integers(1, 3)),
+        max_size=4,
+        unique_by=lambda pf: pf[0],
+    ),
+    st.data(),
+)
+def test_crt_basis_is_the_brute_force_crt(v, odd, data):
+    # a power of 2 and distinct odd prime powers, as the Chen leftovers
+    # and the CDL progressions pass them
+    moduli = (2**v, *(q**f for q, f in odd))
+    M, basis = crt_basis(moduli)
+    assert M == math.prod(moduli)
+    for i, e in enumerate(basis):
+        assert 0 <= e < M
+        for j, m in enumerate(moduli):
+            assert e % m == (1 if i == j else 0)
+    residues = [data.draw(st.integers(0, m - 1)) for m in moduli]
+    x = sum(r * e for r, e in zip(residues, basis)) % M
+    assert [x % m for m in moduli] == residues
+    if M <= 50_000:
+        hits = [y for y in range(M) if all(y % m == r for m, r in zip(moduli, residues))]
+        assert hits == [x]
 
 
 def test_period_mask_equals_bit_loop():

@@ -69,6 +69,14 @@ VERDICT_HASHES = {
     2: "50568d319900f0375ec56aa81f1ce16aa7050371707df4db15cf0d1ea546231e",
     3: "4f11c1feb024f94036a5e90b7dfa6fe3ca7c10e00d3e62214fb0126abb4c68a6",
     4: "bb058af4ea3205a9296d691c0f46520052d490e611588716a76c2a4c7cb5f653",
+    # 11184810 = 2 * 3 * 5 * 7 * 13 * 17 * 241: k = 9 lifts to 3^3, 35 to
+    # 5^2 * 7^2, 216 to 2^4 and 3^4, and 11 and 209 = 11 * 19 add primes
+    # whose classes the covering families leave open
+    9: "90ee3b435a30036009831678a1937920d12900e71344f3c449dc83f38088c019",
+    11: "f7ec64e9885e7303c4eefc4b11a5f4858c94b9d775e04cb2377e9806469b605d",
+    35: "e7be7a768f3220a30ba0e9aaf93d3c8b056924c987e2eae3abf31245ac846c53",
+    209: "8bb9d760563b97d756ed134ccbc99f3f2352b681a57e1338ac758cd141aae59d",
+    216: "df05d0368e7ca0b235f337e24b85e9c3f9c750da23a1132bc65cdb20c406d9bb",
 }
 
 # every even b <= 20000, one to_json() line each: covered b (their shift
