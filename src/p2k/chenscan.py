@@ -15,10 +15,12 @@ Everything therefore lives on exponents mod T = lcm of the orders, and
 modcore.class_cover_search decides b: it picks one class per prime over
 Z/T, branching on a position with the fewest open classes and pruning
 positions no open class covers.  Its position x stands for exponent x + 1,
-so position class c blocks the residue 2^(c+1) mod q.  One walk over all
-of Z/T (_cover_walk) yields the covering families the leftovers are
-rebuilt from; when there are none, walks over prefix targets find the
-longest covered prefix.
+so position class c blocks the residue 2^(c+1) mod q.  The search is a
+generator of covering nodes.  _cover_walk draws every node of one walk
+over all of Z/T and copies each family, which the leftovers are rebuilt
+from; when there are none, walks over prefix targets find the longest
+covered prefix.  A yes-or-no walk, any(class_cover_search(...)), draws at
+most one node, so it ends at its first covering node.
 * Covered b: some j survives the first K shifts exactly when one class per
   order covers 1..K.  With L the longest such prefix (L < T), the sieve
   empties after shifts_used = L + 1 shifts.  Covering a prefix is monotone
@@ -97,22 +99,16 @@ class ScanReport:
     elapsed: float = 0.0
 
 
-def _covers(orders, T: int, target: int | None = None) -> bool:
-    """True iff one exponent class (or none) per order covers target, a
-    mask over Z/T (all of it by default); the walk stops at the first
-    covering node."""
-    return class_cover_search(orders, T, lambda classes, barred: True, target)
-
-
 def _longest_prefix(orders, T: int) -> int:
     """The largest L < T such that one class per order covers 0..L - 1, for
     orders that do not cover Z/T.  Covering a prefix is monotone in its
-    length, so this is a binary search; entry i can always take position
-    i, so L >= min(len(orders), T - 1)."""
+    length, so this is a binary search, each step a walk that stops at
+    its first covering node; entry i can always take position i, so
+    L >= min(len(orders), T - 1)."""
     lo, hi = min(len(orders), T - 1), T - 1
     while lo < hi:
         mid = (lo + hi + 1) // 2
-        if _covers(orders, T, (1 << mid) - 1):
+        if any(class_cover_search(orders, T, (1 << mid) - 1)):
             lo = mid
         else:
             hi = mid - 1
@@ -121,17 +117,11 @@ def _longest_prefix(orders, T: int) -> int:
 
 def _cover_walk(orders) -> tuple[int, list[tuple[list, list]]]:
     """The largest L <= T = lcm(orders) such that one exponent class per
-    entry covers 0..L - 1, and the (classes, barred) family of every
-    covering node of class_cover_search over Z/T.  L = T exactly when the
-    families are nonempty; otherwise _longest_prefix finds it."""
+    entry covers 0..L - 1, and a copy of the (classes, barred) family of
+    every covering node of class_cover_search over Z/T.  L = T exactly
+    when the families are nonempty; otherwise _longest_prefix finds it."""
     T = math.lcm(*orders)
-    families: list[tuple[list, list]] = []
-
-    def visit(classes, barred):
-        families.append((classes[:], barred[:]))
-        return False
-
-    class_cover_search(orders, T, visit)
+    families = [(classes[:], barred[:]) for classes, barred in class_cover_search(orders, T)]
     return (T if families else _longest_prefix(orders, T)), families
 
 
@@ -215,10 +205,12 @@ def scan_range(b_lo: int, b_hi: int) -> ScanReport:
     Block by block, the sieved bound (_sieved_blocks) drops every b whose
     odd primes certainly fail the counting screen, with no division and no
     factor list.  Only the rest are factored, get their orders (memoised
-    per prime in modcore), meet the exact screen and then _covers, a walk
-    that stops at the first covering node (its yes or no memoised per
-    multiset of orders); check_even_modulus runs only on the b found
-    uncovered.  Memory stays flat over any range.
+    per prime in modcore), meet the exact screen and then a walk over Z/T
+    that stops at its first covering node; its yes or no is memoised per
+    sorted multiset of orders.  check_even_modulus runs only on the b
+    found uncovered.  Memory grows with the range only through that memo,
+    one small tuple per distinct multiset (16,037 over the even b in
+    [2, 11184810]).
     """
     start = max(2, b_lo + b_lo % 2)
     stop = b_hi - b_hi % 2
@@ -236,7 +228,7 @@ def scan_range(b_lo: int, b_hi: int) -> ScanReport:
                 continue
             key = tuple(sorted(ords))
             if key not in covers:
-                covers[key] = _covers(key, T)
+                covers[key] = any(class_cover_search(key, T))
             if covers[key]:
                 uncovered.append(check_even_modulus(b))
     return ScanReport(start, stop, uncovered, time.monotonic() - t0)

@@ -37,9 +37,9 @@ def _parse_ints(text: str) -> list[int]:
 
 
 def _emit(text: str):
-    sys.stdout.write(text)
-    if not text.endswith("\n"):
-        sys.stdout.write("\n")
+    # one write: with unbuffered stdout a reader that closes the pipe at
+    # its first match could otherwise land between text and its newline
+    sys.stdout.write(text if text.endswith("\n") else text + "\n")
 
 
 def _enumerate(D: int) -> covering.EnumerationReport:
@@ -52,22 +52,7 @@ def _enumerate(D: int) -> covering.EnumerationReport:
 
 def _cmd_cover_enumerate(args) -> int:
     report = _enumerate(args.D)
-    if args.format == "json":
-        _emit(report.to_json())
-    elif args.format == "csv":
-        _emit(report.to_csv())
-    else:
-        if report.skip_reason:
-            _emit(f"D={report.D}: skipped ({report.skip_reason})")
-        else:
-            _emit(
-                f"D={report.D}: {len(report.progressions)} minimal CDL covering systems, "
-                f"{report.distinct_progression_count} distinct progressions"
-            )
-            rows = ((mods, res) for mods, _, group in report.records for res in group)
-            for (mods, res), (a, m) in zip(rows, report.progressions):
-                classes = " ".join(f"{r}(mod {d})" for r, d in zip(res, mods))
-                _emit(f"  {classes}  ->  {a} (mod {m})")
+    _emit(getattr(report, f"to_{args.format}")())
     return 0
 
 

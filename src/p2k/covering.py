@@ -121,6 +121,8 @@ class EnumerationReport:
     tuple) and the sorted residue tuples of its systems, one residue per
     modulus.  systems and progressions list each system with its
     assignment, and the progression (a, M) it supports, in that order.
+    to_json, to_csv and to_table write the report from the same walk over
+    the records (_paired).
     """
 
     D: int
@@ -149,18 +151,25 @@ class EnumerationReport:
         in a modulus-3 vs modulus-6 class can support the same progression."""
         return len(set(self.progressions))
 
-    def to_json(self) -> str:
+    def _paired(self):
+        """Each record as (moduli, assignment, pairs), pairs the list of
+        (residue tuple, progression (a, M)) of its systems: the one place
+        the records meet the flat progressions, which the writers read."""
         progs = iter(self.progressions)
+        for mods, asg, residue_tuples in self.records:
+            yield mods, asg, [(res, next(progs)) for res in residue_tuples]
+
+    def to_json(self) -> str:
         payload = {
             "D": self.D,
             "systems": [
                 {
                     "classes": [[a, d] for a, d in zip(res, mods)],
                     "assignment": [[d, p] for d, p in asg.pairs],
-                    "progression": list(next(progs)),
+                    "progression": list(prog),
                 }
-                for mods, asg, residue_tuples in self.records
-                for res in residue_tuples
+                for mods, asg, pairs in self._paired()
+                for res, prog in pairs
             ],
             "distinct_progression_count": self.distinct_progression_count,
         }
@@ -174,13 +183,27 @@ class EnumerationReport:
         progression residue a, then one row per system."""
         out = io.StringIO()
         writer = csv.writer(out)
-        progs = iter(self.progressions)
-        for i, (mods, _, residue_tuples) in enumerate(self.records):
+        for i, (mods, _, pairs) in enumerate(self._paired()):
             if i:
                 writer.writerow([])
             writer.writerow([f"mod_{d}" for d in mods] + ["a"])
-            writer.writerows([*res, next(progs)[0]] for res in residue_tuples)
+            writer.writerows([*res, a] for res, (a, _) in pairs)
         return out.getvalue()
+
+    def to_table(self) -> str:
+        """A summary line, then one line per system: its classes and the
+        progression it supports.  A skipped D gives one line, its reason."""
+        if self.skip_reason is not None:
+            return f"D={self.D}: skipped ({self.skip_reason})"
+        lines = [
+            f"D={self.D}: {len(self.progressions)} minimal CDL covering systems, "
+            f"{self.distinct_progression_count} distinct progressions"
+        ]
+        for mods, _, pairs in self._paired():
+            for res, (a, m) in pairs:
+                classes = " ".join(f"{r}(mod {d})" for r, d in zip(res, mods))
+                lines.append(f"  {classes}  ->  {a} (mod {m})")
+        return "\n".join(lines)
 
 
 def _class_mask(residue: int, modulus: int, D: int) -> int:
@@ -310,16 +333,12 @@ def _minimal_coverings(mods: tuple[int, ...], D: int) -> list[tuple[int, ...]]:
         kept = 1 | sum(1 << g for g in divisors(d)[:-1])
         barred[-1] = (1 << d) - 1 & ~kept
     found: list[tuple[int, ...]] = []
-
-    def visit(classes, _barred):
+    for classes, _ in class_cover_search(rest, D, full ^ top_mask, barred):
         # covered with moduli unplaced: any extension is redundant
         if None not in classes:
             masks = [_class_mask(a, d, D) for a, d in zip(classes, rest)]
             if _each_essential(masks + [top_mask], full):
                 found.append((*classes, 0))
-        return False
-
-    class_cover_search(rest, D, visit, full ^ top_mask, barred)
     units = [u for u in range(D) if math.gcd(u, D) == 1]
     bases = {tuple(u * a % d for a, d in zip(res, mods)) for res in found for u in units}
     return sorted(
@@ -354,12 +373,13 @@ def enumerate_cdl_systems(D: int) -> EnumerationReport:
       least uncovered residue of Z/D that only one unplaced modulus can
       still cover (its class there not barred), else only two, else on the
       least uncovered residue.  Each unplaced d whose class there is open
-      tries it, barred in the later sibling branches once its branch
-      returns, so every system is reached along exactly one path.  A branch
+      tries it, barred in the later sibling branches once its branch is
+      done, so every system is reached along exactly one path.  A branch
       dies when some uncovered residue has no open class left, or when the
-      uncovered residues outnumber what the unplaced classes can clear; a
-      covering node with moduli still unplaced is dropped (the rest would
-      be redundant).
+      uncovered residues outnumber what the unplaced classes can clear.
+      The walk yields each covering node, and _minimal_coverings reads
+      them in one loop: a node with moduli still unplaced is dropped (the
+      rest would be redundant).
     * Leaf minimality.  A covering leaf is kept iff each class is
       essential (_each_essential, shared with is_minimal).
 

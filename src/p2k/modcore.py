@@ -7,7 +7,10 @@ residues to a product of coprime moduli for both the CDL progressions
 (covering) and the Chen leftovers (chenscan), and class_cover_search, the
 one search for one class (or none) per modulus covering Z/T (or a target
 part of it) that both the CDL enumeration (covering) and the Chen scan
-(chenscan) run; it branches on a position with the fewest open classes.
+(chenscan) run.  It branches on a position with the fewest open classes
+and is a generator: it yields each covering node, a disjoint family of
+covering choices, as live (classes, barred) lists, and a caller that
+stops drawing stops the walk.
 """
 
 from __future__ import annotations
@@ -329,8 +332,8 @@ def period_mask(d: int, T: int) -> int:
     return mask & ((1 << T) - 1)
 
 
-def class_cover_search(moduli, T: int, visit, target=None, barred=None) -> bool:
-    """Walk the choices of one class (or none) per entry of moduli that
+def class_cover_search(moduli, T: int, target=None, barred=None):
+    """Yield the choices of one class (or none) per entry of moduli that
     cover the positions of target (a mask over Z/T, all of it by default).
 
     Each modulus divides T; repeats are allowed.  Bit c of barred[i] (none
@@ -345,24 +348,28 @@ def class_cover_search(moduli, T: int, visit, target=None, barred=None) -> bool:
     else on the least uncovered one (Knuth's Algorithm X, "Dancing Links",
     arXiv cs/0011047): each unplaced entry i whose class x mod moduli[i] is
     open takes it, and bars it in the later sibling branches once its
-    branch returns.  Any x must be covered by some entry, so every choice
+    branch is done.  Any x must be covered by some entry, so every choice
     vector is reached along one path.
 
-    visit(classes, barred) runs at each covering node: classes[i] is the
-    class of entry i or None, and the lists are live.  The covering nodes
-    are disjoint families of choice vectors: an entry left at None takes
-    any class outside barred[i], or none.  The walk stops, and returns
-    True, as soon as visit returns True; it returns False once exhausted.
+    A generator: it yields (classes, barred) at each covering node, in
+    walk order, where classes[i] is the class of entry i or None.  The
+    two lists are the walk's own and change as soon as it resumes, so a
+    caller that keeps a node copies them; the caller's barred is never
+    changed.  The covering nodes are disjoint families of choice vectors:
+    an entry left at None takes any class outside barred[i], or none.  A
+    caller that needs only the first covering node (or to know there is
+    one) stops drawing; the walk goes no further.
     """
     entries = [(i, d, period_mask(d, T), T // d) for i, d in enumerate(moduli)]
     classes: list[int | None] = [None] * len(moduli)
     barred = [0] * len(moduli) if barred is None else list(barred)
 
-    def walk(uncovered: int, room: int) -> bool:
+    def walk(uncovered: int, room: int):
         if not uncovered:
-            return visit(classes, barred)
+            yield classes, barred
+            return
         if uncovered.bit_count() > room:
-            return False
+            return
         ones = twos = threes = 0
         for i, d, period, size in entries:
             if classes[i] is None:
@@ -371,7 +378,7 @@ def class_cover_search(moduli, T: int, visit, target=None, barred=None) -> bool:
                 twos |= ones & m
                 ones |= m
         if uncovered & ~ones:
-            return False  # a dead position: no open class covers it
+            return  # a dead position: no open class covers it
         pick = uncovered & ~twos or uncovered & ~threes or uncovered
         x = (pick & -pick).bit_length() - 1
         entry_barred = barred[:]
@@ -380,13 +387,11 @@ def class_cover_search(moduli, T: int, visit, target=None, barred=None) -> bool:
                 c = x % d
                 if not barred[i] >> c & 1:
                     classes[i] = c
-                    if walk(uncovered & ~(period << c), room - size):
-                        return True
+                    yield from walk(uncovered & ~(period << c), room - size)
                     classes[i] = None
                     barred[i] |= 1 << c
         barred[:] = entry_barred
-        return False
 
     if target is None:
         target = (1 << T) - 1
-    return walk(target, sum(T // d for d in moduli))
+    yield from walk(target, sum(T // d for d in moduli))

@@ -158,6 +158,28 @@ def test_progression_verify(capsys):
     assert payload["k_period"] == 24
 
 
+def test_reader_closing_at_its_match_gets_no_broken_pipe():
+    # README's `... --format json | grep -q '"membership_certified": true'`
+    # with unbuffered stdout: grep closes the pipe at its match, so the
+    # result and its newline must go out in one write or the second one
+    # fails with EPIPE ("error: [Errno 32] Broken pipe", exit 1)
+    env = dict(os.environ, PYTHONUNBUFFERED="1")
+    src = str(Path(p2k.__file__).resolve().parents[1])
+    env["PYTHONPATH"] = os.pathsep.join(filter(None, [src, env.get("PYTHONPATH")]))
+    argv = [
+        sys.executable, "-m", "p2k", "progression", "verify",
+        "--classes", "0:2,0:3,1:4,3:8,7:12,23:24", "--a", "7629217", "--format", "json",
+    ]
+    for _ in range(20):
+        with subprocess.Popen(
+            argv, stdout=subprocess.PIPE, stderr=subprocess.PIPE, text=True, env=env
+        ) as child:
+            matched = any('"membership_certified": true' in line for line in child.stdout)
+            child.stdout.close()
+            err = child.stderr.read()
+            assert (matched, child.wait(timeout=60), err) == (True, 0, "")
+
+
 def test_progression_census_from_enumeration(capsys):
     code, out, _ = run_cli(capsys, "progression", "census", "--D", "24", "--format", "json")
     assert code == 0

@@ -344,29 +344,32 @@ def _check_class_cover_search(moduli, T, target, start_barred):
     ]
     covering = {v for v in itertools.product(*options) if cover(v) & target == target}
 
-    families = []
-
-    def visit(classes, barred):
-        assert cover(classes) & target == target
-        assert all(b & s == s for b, s in zip(barred, start_barred))
+    def family(classes, barred):
         choices = [
             [c] if c is not None
             else [None, *(e for e in range(d) if not bar >> e & 1)]
             for c, d, bar in zip(classes, moduli, barred)
         ]
-        families.append(set(itertools.product(*choices)))
-        return False
+        return set(itertools.product(*choices))
 
-    assert class_cover_search(moduli, T, visit, target, start_barred) is False
+    families = []
+    for classes, barred in class_cover_search(moduli, T, target, start_barred):
+        assert cover(classes) & target == target
+        assert all(b & s == s for b, s in zip(barred, start_barred))
+        families.append(family(classes, barred))
     union = set().union(*families)
     assert sum(map(len, families)) == len(union)  # pairwise disjoint
     assert union == covering
-    # a visit returning True stops the walk at the first covering node
-    calls = []
-    stopped = class_cover_search(
-        moduli, T, lambda classes, barred: calls.append(1) or True, target, start_barred
-    )
-    assert stopped == bool(covering) and len(calls) == int(stopped)
+    # a first node exists exactly when some vector covers, and dropping the
+    # walk there leaves the caller's barred list as it was
+    caller_barred = list(start_barred)
+    walk = class_cover_search(moduli, T, target, caller_barred)
+    assert (next(walk, None) is not None) == bool(covering)
+    walk.close()
+    assert caller_barred == list(start_barred)
+    # a fresh walk yields the whole family set again
+    again = [family(*node) for node in class_cover_search(moduli, T, target, caller_barred)]
+    assert again == families
     # the longest covered prefix from position 0 over every vector
     vectors = itertools.product(*[[None, *range(d)] for d in moduli])
     longest = max((~m & (m + 1)).bit_length() - 1 for m in map(cover, vectors))

@@ -1,8 +1,8 @@
-"""sha256 pins of the published outputs: the CDL enumerations (JSON and
-CSV), the density bounds and the Chen verdicts at multiples of 11184810 and
-at every even b <= 20000.  A change meant to keep them byte-identical is
-checked here; one that alters them on purpose updates the hash and says
-why."""
+"""sha256 pins of the published outputs: the CDL enumerations (JSON, CSV
+and the CLI table), the density bounds and the Chen verdicts at multiples
+of 11184810 and at every even b <= 20000.  A change meant to keep them
+byte-identical is checked here; one that alters them on purpose updates
+the hash and says why."""
 
 import hashlib
 
@@ -10,6 +10,7 @@ import pytest
 
 from conftest import M48
 from p2k.chenscan import check_even_modulus
+from p2k.cli import dispatch
 from p2k.covering import enumerate_cdl_systems
 from p2k.density import run_estimate
 
@@ -40,6 +41,19 @@ ENUMERATION_CSV_HASHES = {
     80: "f7a2fd3a02971dc1f11d2e6701cf3dfe803eea4050979e3773e2447e7bdf8e33",
     96: "87fd80deef4e711840a29c67328062caabe800365ac8d1073e6e182c4299456f",
     108: "ce818c028f43265f972912789f22f6a259574a6b57c74bf02f666a7276b4b4f6",
+}
+
+# stdout of `p2k cover enumerate --D <D> --format table` for the same D,
+# taken while the CLI still built the table from the records itself
+ENUMERATION_TABLE_HASHES = {
+    24: "bdb58347b15d56c8575557422243929664cdc528b65e2352ba3e23fb24e237f8",
+    36: "26810737f4a6c898a8c1bb188c56966b0819e837dd0963ae1a5e043f3085456c",
+    48: "bcaf97c7c6feff569bfe23da0421747a59e31f90e290a984a861615b1c5172ab",
+    60: "4379bdca42999d55a77589864c8155eb55641488ee5542f01fe6b716d944e4b7",
+    72: "5445dc9f66d58e47f0d0bff85b7a088dca4cfe89517e916c399045848911920d",
+    80: "555f3cc8a915a63b111745efadfbbbe3e4d814f453e3aa4f671d03da1436884b",
+    96: "98e50480c1fcc4c44e25d879aedba981dbf0639ef87afe7ce1759b3d38372b75",
+    108: "23d12641350a6cf0d1a487f9560dbabccc127e510996690ef6ba7689bac6cb0f",
 }
 
 # the nine published density fixtures and the 11-prime set
@@ -94,6 +108,14 @@ def test_enumeration_json_is_pinned(D, enumeration_24):
 def test_enumeration_csv_is_pinned(D, enumeration_24):
     report = enumeration_24 if D == 24 else enumerate_cdl_systems(D)
     assert _sha256(report.to_csv()) == ENUMERATION_CSV_HASHES[D]
+
+
+@pytest.mark.parametrize("D", sorted(ENUMERATION_TABLE_HASHES))
+def test_enumeration_table_is_pinned(D, capsys):
+    assert dispatch(["cover", "enumerate", "--D", str(D), "--format", "table"]) == 0
+    out, err = capsys.readouterr()
+    assert err == ""
+    assert _sha256(out) == ENUMERATION_TABLE_HASHES[D]
 
 
 @pytest.mark.parametrize(
