@@ -3,13 +3,15 @@
 Groups mirror the library: cover (enumerate/verify), progression
 (derive/verify/census), chen (check/scan), density.  Results go to stdout
 in the selected format; notes and errors go to stderr only.  Exit codes:
-0 success, 1 domain error, 2 usage error.
+0 success, 1 domain error, 2 usage error.  A reader that closes stdout
+early, as `| head -1` does, ends the output there: exit code 0, no error.
 """
 
 from __future__ import annotations
 
 import argparse
 import json
+import os
 import sys
 from functools import cache
 
@@ -298,7 +300,15 @@ def dispatch(argv=None) -> int:
     except SystemExit as exc:
         return exc.code if isinstance(exc.code, int) else 2
     try:
-        return args.func(args)
+        code = args.func(args)
+        sys.stdout.flush()  # so a reader that left shows here, not at exit
+        return code
+    except BrokenPipeError:
+        # the reader left early, as `| head -1` does: the output ends there,
+        # which is no error.  stdout goes to devnull so the flush at exit
+        # does not meet the closed pipe again.
+        os.dup2(os.open(os.devnull, os.O_WRONLY), sys.stdout.fileno())
+        return 0
     except (ValueError, AssertionError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 1

@@ -8,7 +8,17 @@ and checks such systems.  Everything works over Z/D (D = lcm of the moduli)
 with D-bit masks: a class clears the bits of an arithmetic progression, and a
 tuple of classes covers iff the mask empties.
 
-Enumeration searches one class per modulus tuple under translations and
+Enumeration first screens the modulus tuples.  Let p^a exactly divide D.
+A minimal covering with lcm D has at least p moduli divisible by p^a: some
+class C has such a modulus, and by minimality some x is covered by C alone.  A class
+whose modulus m has v_p(m) < a is invariant under x -> x + D/p, so none
+meets the fibre {x + t D/p : 0 <= t < p}, which the covering must still
+cover; a class with p^a | m meets it at most once, as the fibre's points
+are distinct mod p^a.  So p such classes are needed.  Of the tuples with
+lcm D, density above 1 and a prime assignment, the screen drops 68-95% at
+D = 24 ... 108, never one with a minimal covering (tests/test_covering.py).
+
+It then searches one class per modulus tuple under translations and
 unit multipliers (the largest modulus fixed on class 0, the next one on 0
 or a proper divisor of its modulus, the images emitted afterwards) with
 modcore.class_cover_search, whose positions are the residues of Z/D, and
@@ -33,6 +43,7 @@ from .modcore import (
     class_cover_search,
     crt_basis,
     divisors,
+    factorize,
     is_prime,
     mersenne_prime_divisors,
     period_mask,
@@ -131,11 +142,20 @@ class EnumerationReport:
 
     @cached_property
     def systems(self) -> tuple[tuple[CoveringSystem, PrimeAssignment], ...]:
-        return tuple(
-            (CoveringSystem(tuple(map(CongruenceCondition, res, mods))), asg)
-            for mods, asg, residue_tuples in self.records
-            for res in residue_tuples
-        )
+        # each class of each modulus built (and validated) once, shared by
+        # every system that has it
+        classes = {
+            d: [CongruenceCondition(a, d) for a in range(d)]
+            for d in {d for mods, _, _ in self.records for d in mods}
+        }
+        systems = []
+        for mods, asg, residue_tuples in self.records:
+            rows = [classes[d] for d in mods]
+            systems += (
+                (CoveringSystem(tuple(map(list.__getitem__, rows, res))), asg)
+                for res in residue_tuples
+            )
+        return tuple(systems)
 
     @cached_property
     def progressions(self) -> tuple[tuple[int, int], ...]:
@@ -160,22 +180,33 @@ class EnumerationReport:
             yield mods, asg, [(res, next(progs)) for res in residue_tuples]
 
     def to_json(self) -> str:
-        payload = {
-            "D": self.D,
-            "systems": [
-                {
-                    "classes": [[a, d] for a, d in zip(res, mods)],
-                    "assignment": [[d, p] for d, p in asg.pairs],
-                    "progression": list(prog),
-                }
-                for mods, asg, pairs in self._paired()
-                for res, prog in pairs
-            ],
-            "distinct_progression_count": self.distinct_progression_count,
-        }
+        """json.dumps(payload, indent=2) of the payload {"D", "systems",
+        "distinct_progression_count"[, "skip_reason"]}, each system a
+        {"classes", "assignment", "progression"} of int pairs, written by
+        hand: indent sends json.dumps to its pure-Python encoder, seconds
+        at D = 60.  A record's systems differ only in their residues and
+        progression, so each fills its record's template."""
+        systems = []
+        for mods, asg, pairs in self._paired():
+            classes = [_json_list(["%d", str(d)], 8) for d in mods]
+            assignment = [_json_list([str(d), str(p)], 8) for d, p in asg.pairs]
+            template = _json_object(
+                [
+                    ("classes", _json_list(classes, 6)),
+                    ("assignment", _json_list(assignment, 6)),
+                    ("progression", _json_list(["%d", "%d"], 6)),
+                ],
+                4,
+            )
+            systems += (template % (*res, *prog) for res, prog in pairs)
+        fields = [
+            ("D", str(self.D)),
+            ("systems", _json_list(systems, 2)),
+            ("distinct_progression_count", str(self.distinct_progression_count)),
+        ]
         if self.skip_reason is not None:
-            payload["skip_reason"] = self.skip_reason
-        return json.dumps(payload, indent=2)
+            fields.append(("skip_reason", json.dumps(self.skip_reason)))
+        return _json_object(fields, 0)
 
     def to_csv(self) -> str:
         """One block per modulus tuple, blank-line separated: a header of
@@ -204,6 +235,22 @@ class EnumerationReport:
                 classes = " ".join(f"{r}(mod {d})" for r, d in zip(res, mods))
                 lines.append(f"  {classes}  ->  {a} (mod {m})")
         return "\n".join(lines)
+
+
+def _json_list(items: list[str], pad: int) -> str:
+    """A list as json.dumps(..., indent=2) writes it at indent pad, its
+    items already written."""
+    if not items:
+        return "[]"
+    inner = ",\n".join(" " * (pad + 2) + item for item in items)
+    return f"[\n{inner}\n{' ' * pad}]"
+
+
+def _json_object(fields, pad: int) -> str:
+    """A dict of (key, written value) pairs as _json_list writes a list;
+    the keys are plain ASCII, so need no escapes."""
+    inner = ",\n".join(f'{" " * (pad + 2)}"{key}": {value}' for key, value in fields)
+    return f"{{\n{inner}\n{' ' * pad}}}"
 
 
 def _class_mask(residue: int, modulus: int, D: int) -> int:
@@ -353,8 +400,13 @@ def enumerate_cdl_systems(D: int) -> EnumerationReport:
 
     Screens D by the divisor-density necessary condition (sum of 1/d over
     d | D must exceed 2), then selects modulus tuples from the divisors of
-    D with density sum > 1, lcm exactly D, and a distinct-prime assignment,
-    which canonical_assignment both checks and supplies.  For each tuple:
+    D with density sum > 1, at least p moduli divisible by p^a for each
+    p^a exactly dividing D, and a distinct-prime assignment, which
+    canonical_assignment both checks and supplies.  That middle test is the
+    p-power screen: a tuple that fails it has no minimal covering with lcm
+    D (proof in the module docstring), and one that passes has lcm exactly
+    D, as p >= 2.  It runs first, so it spares the assignment search and
+    the class search on most tuples.  For each tuple:
 
     * Translation quotient.  x -> x + r maps minimal coverings with these
       moduli to minimal coverings, and every system is the shift of exactly
@@ -402,26 +454,33 @@ def enumerate_cdl_systems(D: int) -> EnumerationReport:
     # for every d | D that the tuple search asks for
     mersenne_prime_divisors(D)
 
-    # modulus tuples: subsets with sum 1/d > 1, lcm exactly D and an
-    # assignment; each with minimal coverings gives a record
+    # (p^a, p) for each p^a exactly dividing D: the p-power screen
+    powers = [(p**a, p) for p, a in factorize(D)]
+    # modulus tuples: subsets with sum 1/d > 1 that pass the screen (so
+    # have lcm exactly D) and have an assignment; each with minimal
+    # coverings gives a record
     records = []
 
-    def pick(idx: int, subset: list[int], weight: int, rest_weight: int, lcm: int):
+    def pick(idx: int, subset: list[int], weight: int, rest_weight: int):
         # weight counts sum of D/d so far; need strict > D at the end
         if idx == len(divs):
-            if weight > D and lcm == D and (asg := canonical_assignment(subset)):
-                if residue_tuples := _minimal_coverings(tuple(subset), D):
-                    records.append((tuple(subset), asg, tuple(residue_tuples)))
+            if (
+                weight > D
+                and all(sum(d % q == 0 for d in subset) >= p for q, p in powers)
+                and (asg := canonical_assignment(subset))
+                and (residue_tuples := _minimal_coverings(tuple(subset), D))
+            ):
+                records.append((tuple(subset), asg, tuple(residue_tuples)))
             return
         if weight + rest_weight <= D:
             return  # cannot reach density 1 even taking everything
         d = divs[idx]
-        pick(idx + 1, subset, weight, rest_weight - D // d, lcm)
+        pick(idx + 1, subset, weight, rest_weight - D // d)
         subset.append(d)
-        pick(idx + 1, subset, weight + D // d, rest_weight - D // d, math.lcm(lcm, d))
+        pick(idx + 1, subset, weight + D // d, rest_weight - D // d)
         subset.pop()
 
-    pick(0, [], 0, total_rest, 1)
+    pick(0, [], 0, total_rest)
     return EnumerationReport(D=D, records=tuple(sorted(records, key=lambda r: r[0])))
 
 

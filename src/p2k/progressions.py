@@ -13,6 +13,7 @@ from __future__ import annotations
 import json
 import math
 from dataclasses import dataclass
+from functools import lru_cache
 
 from .covering import (
     CoveringSystem,
@@ -89,28 +90,45 @@ def assignment_matching_modulus(moduli, target_modulus: int) -> PrimeAssignment:
     raise ValueError(f"no assignment for {tuple(moduli)} gives modulus {target_modulus}")
 
 
-def verify_excludes_primes(progression: CdlProgression) -> ExclusionCertificate:
-    """Check c + 2^k != a (mod M) for every assigned prime c and every
-    k in 1..ord_2(M/2); that range is exhaustive because 2^(k+T) = 2^k
-    (mod M) for k >= 1 when T = ord_2(M/2) and M/2 is odd."""
-    a = progression.residue
-    m = progression.modulus
-    primes = progression.assignment.primes
-    period = math.lcm(*(ord2(p) for p in primes))
-    # c + 2^k = a (mod M) iff 2^k hits (a - c) mod M: one set test per k
-    targets = {(a - c) % m for c in primes}
-    witnesses = []
+@lru_cache(maxsize=256)
+def _exponent_index(m: int, period: int) -> dict[int, list[int]]:
+    """2^k mod m -> the k in 1..period with that power, ascending.  Bounded
+    like crt_basis; cover enumerate certifies many progressions per
+    modulus."""
+    index: dict[int, list[int]] = {}
     power = 1
     for k in range(1, period + 1):
         power = power * 2 % m
-        if power in targets:
-            witnesses.extend((c, k) for c in primes if (c + power) % m == a)
+        index.setdefault(power, []).append(k)
+    return index
+
+
+def verify_excludes_primes(progression: CdlProgression) -> ExclusionCertificate:
+    """Check c + 2^k != a (mod M) for every assigned prime c and every
+    k in 1..T, T the lcm of the ord_2(c); that range is exhaustive because
+    2^(k+T) = 2^k (mod M) for k >= 1 when M = 2 * prod c (T = ord_2(M/2)).
+
+    c + 2^k = a (mod M) iff 2^k = (a - c) (mod M), so each c needs one
+    lookup of (a - c) mod M in an index of 2^1, ..., 2^T mod M, cached per
+    (M, T) with T entries.  When M = 2 * prod c, as derive_progression
+    makes it, T is the order of 2 mod M/2, so those powers are distinct
+    mod M/2 and hence mod M: each c has at most one witness k.  An entry
+    lists every k with its power, so any other M is checked exactly too.
+    Witnesses come in ascending k, then in the order of the primes.
+    """
+    a = progression.residue
+    m = progression.modulus
+    primes = progression.assignment.primes
+    period = math.lcm(*map(ord2, primes))
+    index = _exponent_index(m, period)
+    hits = [(k, i, c) for i, c in enumerate(primes) for k in index.get((a - c) % m, ())]
+    hits.sort()
     return ExclusionCertificate(
         progression=progression,
         checked_primes=primes,
         k_period=period,
-        verdict=not witnesses,
-        witnesses=tuple(witnesses),
+        verdict=not hits,
+        witnesses=tuple((c, k) for k, _, c in hits),
     )
 
 

@@ -180,6 +180,23 @@ def test_reader_closing_at_its_match_gets_no_broken_pipe():
             assert (matched, child.wait(timeout=60), err) == (True, 0, "")
 
 
+def test_reader_leaving_after_one_line_gets_exit_0():
+    # `p2k cover enumerate --D 80 --format json | head -1` with the default
+    # buffering: the 2 MB result overflows the pipe, the reader leaves, and
+    # the rest of the write meets a closed pipe
+    env = {k: v for k, v in os.environ.items() if k != "PYTHONUNBUFFERED"}
+    src = str(Path(p2k.__file__).resolve().parents[1])
+    env["PYTHONPATH"] = os.pathsep.join(filter(None, [src, env.get("PYTHONPATH")]))
+    argv = [sys.executable, "-m", "p2k", "cover", "enumerate", "--D", "80", "--format", "json"]
+    with subprocess.Popen(
+        argv, stdout=subprocess.PIPE, stderr=subprocess.PIPE, text=True, env=env
+    ) as child:
+        first = child.stdout.readline()
+        child.stdout.close()
+        err = child.stderr.read()
+        assert (first, child.wait(timeout=60), err) == ("{\n", 0, "")
+
+
 def test_progression_census_from_enumeration(capsys):
     code, out, _ = run_cli(capsys, "progression", "census", "--D", "24", "--format", "json")
     assert code == 0

@@ -8,6 +8,7 @@ import pytest
 
 from conftest import MOD3_MODULI, MOD6_MODULI, TABLE_MOD3_ROWS, TABLE_MOD6_ROWS
 from mersenne_table import MERSENNE_FACTORS
+from p2k import covering
 from p2k.catalog import CHEN_SYSTEM_2, ERDOS_ASSIGNMENT, ERDOS_SYSTEM
 from p2k.covering import (
     CoveringSystem,
@@ -309,6 +310,53 @@ def test_enumeration_equals_residue_order_search(D):
             assert a % p == pow(2, r, p)
 
 
+# tuples that reach _minimal_coverings, past the p-power screen
+SEARCHED_TUPLES = {24: 3, 36: 7, 48: 19, 60: 91, 72: 131, 80: 3, 96: 91, 108: 51}
+
+
+def _p_power_counts_hold(mods, D):
+    """For each p^a exactly dividing D (trial division), at least p of mods
+    are divisible by p^a."""
+    for p in range(2, D + 1):
+        if D % p == 0 and all(p % f for f in range(2, p)):
+            q = p
+            while D % (q * p) == 0:
+                q *= p
+            if sum(d % q == 0 for d in mods) < p:
+                return False
+    return True
+
+
+@pytest.mark.parametrize("D", sorted(SEARCHED_TUPLES))
+def test_p_power_screen_drops_only_tuples_without_coverings(D, monkeypatch):
+    searched = []
+
+    def recording(mods, D):
+        searched.append(mods)
+        return _minimal_coverings(mods, D)
+
+    monkeypatch.setattr(covering, "_minimal_coverings", recording)
+    report = enumerate_cdl_systems(D)
+    monkeypatch.undo()
+    assert len(searched) == SEARCHED_TUPLES[D]
+    assert all(_p_power_counts_hold(mods, D) for mods, _, _ in report.records)
+    divs = [d for d in divisors(D) if d >= 2]
+    unscreened = {
+        mods
+        for r in range(1, len(divs) + 1)
+        for mods in itertools.combinations(divs, r)
+        if sum(D // d for d in mods) > D
+        and math.lcm(*mods) == D
+        and canonical_assignment(mods) is not None
+    }
+    kept = {mods for mods in unscreened if _p_power_counts_hold(mods, D)}
+    assert set(searched) == kept
+    dropped = unscreened - kept
+    assert dropped
+    for mods in dropped:
+        assert _minimal_coverings(mods, D) == [], mods
+
+
 @pytest.mark.parametrize("D", [12, 24, 36])
 def test_unit_quotient_keeps_every_minimal_covering(D):
     divs = [d for d in divisors(D) if d >= 2]
@@ -416,8 +464,10 @@ def test_double_cover_on_randomized_minimal_inputs(enumeration_24):
 
 
 def test_report_json_round_trip(enumeration_24):
+    # to_json writes json.dumps(payload, indent=2) by hand; this is the
+    # reference, byte for byte
     report = enumeration_24
-    assert json.loads(report.to_json()) == {
+    assert report.to_json() == json.dumps({
         "D": report.D,
         "systems": [
             {
@@ -428,13 +478,17 @@ def test_report_json_round_trip(enumeration_24):
             for (system, asg), progression in zip(report.systems, report.progressions)
         ],
         "distinct_progression_count": report.distinct_progression_count,
-    }
+    }, indent=2)
     assert report.skip_reason is None
+    empty = enumerate_cdl_systems(12)  # not skipped, but no system
+    assert empty.to_json() == json.dumps(
+        {"D": 12, "systems": [], "distinct_progression_count": 0}, indent=2
+    )
     skipped = enumerate_cdl_systems(6)
-    assert json.loads(skipped.to_json()) == {
+    assert skipped.to_json() == json.dumps({
         "D": 6, "systems": [], "distinct_progression_count": 0,
         "skip_reason": skipped.skip_reason,
-    }
+    }, indent=2)
 
 
 def test_report_csv_layout(enumeration_24):

@@ -16,7 +16,12 @@ from p2k.catalog import (
     ERDOS_SYSTEM,
     LARGE_CONSTRUCTIONS,
 )
-from p2k.covering import CoveringSystem, PrimeAssignment, canonical_assignment
+from p2k.covering import (
+    CoveringSystem,
+    PrimeAssignment,
+    canonical_assignment,
+    enumerate_cdl_systems,
+)
 from p2k.modcore import is_prime, ord2
 from p2k.progressions import (
     CdlProgression,
@@ -112,6 +117,21 @@ def test_constructed_failure_has_witnesses():
     assert (5, 1) in cert.witnesses
 
 
+def _assert_equals_direct_loop(prog):
+    """verify_excludes_primes against the direct loop over every k in
+    1..k_period, then every assigned prime c in order, c + 2^k = a (mod M);
+    returns the certificate."""
+    a, m = prog.residue, prog.modulus
+    cert = verify_excludes_primes(prog)
+    witnesses = []
+    for k in range(1, cert.k_period + 1):
+        power = pow(2, k, m)
+        witnesses += [(c, k) for c in prog.assignment.primes if (c + power) % m == a]
+    assert cert.witnesses == tuple(witnesses)
+    assert cert.verdict == (not witnesses)
+    return cert
+
+
 def test_witnesses_equal_direct_double_loop():
     primes = ERDOS_ASSIGNMENT.primes
     rng = random.Random(20241018)
@@ -120,15 +140,36 @@ def test_witnesses_equal_direct_double_loop():
         for _ in range(30)
     ]
     for a in residues:
-        cert = verify_excludes_primes(CdlProgression(a, M48, ERDOS_SYSTEM, ERDOS_ASSIGNMENT))
-        expected = tuple(
-            (c, k)
-            for k in range(1, cert.k_period + 1)
-            for c in primes
-            if (c + pow(2, k, M48)) % M48 == a
-        )
-        assert expected
-        assert cert.witnesses == expected
+        prog = CdlProgression(a, M48, ERDOS_SYSTEM, ERDOS_ASSIGNMENT)
+        assert _assert_equals_direct_loop(prog).witnesses
+    # moduli other than 2 * prod p_i: mod 6 the powers of 2 repeat within
+    # the period 24, so one prime can have several witnesses
+    certs = [
+        _assert_equals_direct_loop(CdlProgression(a, m, ERDOS_SYSTEM, ERDOS_ASSIGNMENT))
+        for a, m in ((1, 6), (3, 6), (5, 6), (7629217, M48 + 2))
+    ]
+    assert len(certs[0].witnesses) > len(primes)
+
+
+@pytest.mark.parametrize("D", [24, 36, 48, 80])
+def test_exclusion_equals_direct_loop_on_enumerated_progressions(D):
+    report = enumerate_cdl_systems(D)
+    first = {}
+    for pair, prog in zip(report.systems, report.progressions):
+        first.setdefault(prog, pair)
+    assert len(first) == report.distinct_progression_count
+    for system, asg in first.values():
+        prog = derive_progression(system, asg)
+        assert _assert_equals_direct_loop(prog).k_period == ord2(prog.modulus // 2)
+    if D == 80:
+        # residues built to fail: a = c + 2^k (mod M) for each assigned c,
+        # at k across the period and past it
+        system, asg = next(iter(first.values()))
+        m = 2 * math.prod(asg.primes)
+        for c in asg.primes:
+            for k in (1, 2, 7, 40, ord2(m // 2), ord2(m // 2) + 3):
+                a = (c + pow(2, k, m)) % m
+                assert _assert_equals_direct_loop(CdlProgression(a, m, system, asg)).witnesses
 
 
 @pytest.mark.parametrize(
