@@ -80,14 +80,23 @@ class ModulusVerdict:
     shifts_used: int
     leftover: tuple[int, ...] = ()
 
+    def to_dict(self) -> dict:
+        return {
+            "b": self.b,
+            "covered": self.covered,
+            "m": self.shifts_used,
+            "leftover": list(self.leftover),
+        }
+
     def to_json(self) -> str:
-        return json.dumps(
-            {
-                "b": self.b,
-                "covered": self.covered,
-                "m": self.shifts_used,
-                "leftover": list(self.leftover),
-            }
+        return json.dumps(self.to_dict())
+
+    def to_table(self) -> str:
+        if self.covered:
+            return f"b={self.b}: covered after {self.shifts_used} shifts"
+        return (
+            f"b={self.b}: NOT covered after {self.shifts_used} shifts; "
+            f"{len(self.leftover)} odd residues left: " + ",".join(map(str, self.leftover))
         )
 
 
@@ -97,6 +106,27 @@ class ScanReport:
     b_hi: int
     uncovered_moduli: list[ModulusVerdict] = field(default_factory=list)
     elapsed: float = 0.0
+
+    def to_json(self) -> str:
+        return json.dumps(
+            {
+                "from": self.b_lo,
+                "to": self.b_hi,
+                "uncovered": [v.to_dict() for v in self.uncovered_moduli],
+                "elapsed": self.elapsed,
+            },
+            indent=2,
+        )
+
+    def to_table(self) -> str:
+        """A summary line, then one line per uncovered b."""
+        return "\n".join(
+            [
+                f"scanned even b in [{self.b_lo}, {self.b_hi}]: "
+                f"{len(self.uncovered_moduli)} uncovered ({self.elapsed:.1f}s)"
+            ]
+            + [f"  b={v.b}: {len(v.leftover)} residues left" for v in self.uncovered_moduli]
+        )
 
 
 def _longest_prefix(orders, T: int) -> int:

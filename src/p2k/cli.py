@@ -2,7 +2,9 @@
 
 Groups mirror the library: cover (enumerate/verify), progression
 (derive/verify/census), chen (check/scan), density.  Results go to stdout
-in the selected format; notes and errors go to stderr only.  Exit codes:
+in the selected format, in one write; a result type writes its own
+formats (to_json, to_table, ...), and only commands that combine several
+results format here.  Notes and errors go to stderr only.  Exit codes:
 0 success, 1 domain error, 2 usage error.  A reader that closes stdout
 early, as `| head -1` does, ends the output there: exit code 0, no error.
 """
@@ -79,7 +81,10 @@ def _cmd_cover_verify(args) -> int:
     return 0
 
 
-def _assignment_for(args, system: covering.CoveringSystem) -> covering.PrimeAssignment:
+def _derive(args) -> progressions.CdlProgression:
+    """The progression of --classes under --primes, --match-modulus or the
+    canonical assignment."""
+    system = _parse_classes(args.classes)
     if args.primes is not None:
         if args.match_modulus is not None:
             raise ValueError("give either --primes or --match-modulus, not both")
@@ -88,47 +93,30 @@ def _assignment_for(args, system: covering.CoveringSystem) -> covering.PrimeAssi
             raise ValueError(
                 f"--primes gives {len(primes)} primes for {len(system.moduli)} moduli"
             )
-        return covering.PrimeAssignment.from_pairs(zip(system.moduli, primes))
-    if args.match_modulus is not None:
-        return progressions.assignment_matching_modulus(system.moduli, args.match_modulus)
-    asg = covering.canonical_assignment(system.moduli)
-    if asg is None:
-        raise ValueError(f"no prime assignment exists for moduli {system.moduli}")
-    return asg
+        asg = covering.PrimeAssignment.from_pairs(zip(system.moduli, primes))
+    elif args.match_modulus is not None:
+        asg = progressions.assignment_matching_modulus(system.moduli, args.match_modulus)
+    else:
+        asg = covering.canonical_assignment(system.moduli)
+        if asg is None:
+            raise ValueError(f"no prime assignment exists for moduli {system.moduli}")
+    return progressions.derive_progression(system, asg)
 
 
 def _cmd_progression_derive(args) -> int:
-    system = _parse_classes(args.classes)
-    asg = _assignment_for(args, system)
-    prog = progressions.derive_progression(system, asg)
-    if args.format == "json":
-        _emit(
-            json.dumps(
-                {
-                    "a": prog.residue,
-                    "M": prog.modulus,
-                    "assignment": [[d, p] for d, p in asg.pairs],
-                },
-                indent=2,
-            )
-        )
-    else:
-        _emit(f"{prog.residue} (mod {prog.modulus})")
+    prog = _derive(args)
+    _emit(getattr(prog, f"to_{args.format}")())
     return 0
 
 
 def _cmd_progression_verify(args) -> int:
-    system = _parse_classes(args.classes)
-    asg = _assignment_for(args, system)
-    prog = progressions.derive_progression(system, asg)
+    prog = _derive(args)
     if args.a is not None and prog.residue != args.a:
         raise ValueError(f"derived residue {prog.residue}, expected {args.a}")
     cert = progressions.verify_excludes_primes(prog)
-    certified = progressions.membership_in_U_is_certified(prog, cert)
+    certified = progressions.membership_in_U_is_certified(prog)
     if args.format == "json":
-        payload = json.loads(cert.to_json())
-        payload["membership_certified"] = certified
-        _emit(json.dumps(payload, indent=2))
+        _emit(json.dumps({**cert.to_dict(), "membership_certified": certified}, indent=2))
     else:
         _emit(
             f"a={prog.residue} M={prog.modulus} exclusion={cert.verdict} "
@@ -155,42 +143,13 @@ def _cmd_progression_census(args) -> int:
 
 
 def _cmd_chen_check(args) -> int:
-    verdict = chenscan.check_even_modulus(args.b)
-    if args.format == "json":
-        _emit(verdict.to_json())
-    else:
-        if verdict.covered:
-            _emit(f"b={verdict.b}: covered after {verdict.shifts_used} shifts")
-        else:
-            _emit(
-                f"b={verdict.b}: NOT covered after {verdict.shifts_used} shifts; "
-                f"{len(verdict.leftover)} odd residues left: "
-                + ",".join(map(str, verdict.leftover))
-            )
+    _emit(getattr(chenscan.check_even_modulus(args.b), f"to_{args.format}")())
     return 0
 
 
 def _cmd_chen_scan(args) -> int:
     report = chenscan.scan_range(args.from_b, args.to_b)
-    if args.format == "json":
-        _emit(
-            json.dumps(
-                {
-                    "from": report.b_lo,
-                    "to": report.b_hi,
-                    "uncovered": [json.loads(v.to_json()) for v in report.uncovered_moduli],
-                    "elapsed": report.elapsed,
-                },
-                indent=2,
-            )
-        )
-    else:
-        _emit(
-            f"scanned even b in [{report.b_lo}, {report.b_hi}]: "
-            f"{len(report.uncovered_moduli)} uncovered ({report.elapsed:.1f}s)"
-        )
-        for v in report.uncovered_moduli:
-            _emit(f"  b={v.b}: {len(v.leftover)} residues left")
+    _emit(getattr(report, f"to_{args.format}")())
     return 0
 
 
@@ -210,19 +169,7 @@ def _cmd_density(args) -> int:
         if oracle.counts != result.histogram.counts:
             raise AssertionError("cluster pipeline disagrees with brute-force oracle")
         print(f"oracle cross-check passed for M={M}", file=sys.stderr)
-    if args.emit == "json":
-        _emit(result.to_json())
-    elif args.emit == "csv":
-        lines = ["nu,delta"]
-        lines += [f"{nu},{c}" for nu, c in result.histogram.sorted_items()]
-        lines.append(f"bound,{result.decimal_upper()}")
-        _emit("\n".join(lines))
-    else:
-        _emit(
-            f"primes={','.join(map(str, result.primes))} M={result.M} "
-            f"ord2={result.order} phi={result.phi}"
-        )
-        _emit(f"bound <= {result.decimal_upper()} (corrected, rounded upward)")
+    _emit(getattr(result, f"to_{args.format}")())
     return 0
 
 
@@ -282,7 +229,9 @@ def build_parser() -> argparse.ArgumentParser:
     dens.add_argument("--primes", required=True, help="comma list of odd primes")
     dens.add_argument("--partition", help="left|right comma lists, e.g. 3,5|7")
     dens.add_argument("--oracle", action="store_true", help="brute-force cross-check")
-    dens.add_argument("--emit", choices=("json", "csv", "table"), default="table")
+    dens.add_argument(
+        "--emit", choices=("json", "csv", "table"), default="table", dest="format"
+    )
     dens.set_defaults(func=_cmd_density)
 
     return parser

@@ -637,6 +637,20 @@ class BoundResult:
             indent=2,
         )
 
+    def to_csv(self) -> str:
+        """One nu,delta row per histogram entry, then the bound."""
+        lines = ["nu,delta"]
+        lines += [f"{nu},{c}" for nu, c in self.histogram.sorted_items()]
+        lines.append(f"bound,{self.decimal_upper()}")
+        return "\n".join(lines)
+
+    def to_table(self) -> str:
+        return (
+            f"primes={','.join(map(str, self.primes))} M={self.M} "
+            f"ord2={self.order} phi={self.phi}\n"
+            f"bound <= {self.decimal_upper()} (corrected, rounded upward)"
+        )
+
 
 def _capped_sum(items, M: int, denom: int, ln2: Fraction) -> Fraction:
     """sum of count * min(1/(2M), nu/(denom ln2)) over (nu, count).

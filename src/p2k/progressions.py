@@ -14,6 +14,7 @@ import json
 import math
 from dataclasses import dataclass
 from functools import lru_cache
+from itertools import combinations
 
 from .covering import (
     CoveringSystem,
@@ -43,6 +44,19 @@ class CdlProgression:
         if self.residue % 2 == 0:
             raise ValueError(f"residue must be odd, got {self.residue}")
 
+    def to_json(self) -> str:
+        return json.dumps(
+            {
+                "a": self.residue,
+                "M": self.modulus,
+                "assignment": [[d, p] for d, p in self.assignment.pairs],
+            },
+            indent=2,
+        )
+
+    def to_table(self) -> str:
+        return f"{self.residue} (mod {self.modulus})"
+
 
 @dataclass(frozen=True)
 class ExclusionCertificate:
@@ -56,18 +70,18 @@ class ExclusionCertificate:
     verdict: bool
     witnesses: tuple[tuple[int, int], ...]
 
+    def to_dict(self) -> dict:
+        return {
+            "a": self.progression.residue,
+            "M": self.progression.modulus,
+            "primes": list(self.checked_primes),
+            "k_period": self.k_period,
+            "verdict": self.verdict,
+            "witnesses": [list(w) for w in self.witnesses],
+        }
+
     def to_json(self) -> str:
-        return json.dumps(
-            {
-                "a": self.progression.residue,
-                "M": self.progression.modulus,
-                "primes": list(self.checked_primes),
-                "k_period": self.k_period,
-                "verdict": self.verdict,
-                "witnesses": [list(w) for w in self.witnesses],
-            },
-            indent=2,
-        )
+        return json.dumps(self.to_dict(), indent=2)
 
 
 def derive_progression(
@@ -91,16 +105,17 @@ def assignment_matching_modulus(moduli, target_modulus: int) -> PrimeAssignment:
 
 
 @lru_cache(maxsize=256)
-def _exponent_index(m: int, period: int) -> dict[int, list[int]]:
-    """2^k mod m -> the k in 1..period with that power, ascending.  Bounded
-    like crt_basis; cover enumerate certifies many progressions per
-    modulus."""
+def _exponent_index(m: int, primes: tuple[int, ...]) -> tuple[int, dict[int, list[int]]]:
+    """T = lcm of the ord_2(c) over primes, and 2^k mod m -> the k in 1..T
+    with that power, ascending.  Bounded like crt_basis; cover enumerate
+    certifies many progressions per modulus."""
+    period = math.lcm(*map(ord2, primes))
     index: dict[int, list[int]] = {}
     power = 1
     for k in range(1, period + 1):
         power = power * 2 % m
         index.setdefault(power, []).append(k)
-    return index
+    return period, index
 
 
 def verify_excludes_primes(progression: CdlProgression) -> ExclusionCertificate:
@@ -109,8 +124,8 @@ def verify_excludes_primes(progression: CdlProgression) -> ExclusionCertificate:
     2^(k+T) = 2^k (mod M) for k >= 1 when M = 2 * prod c (T = ord_2(M/2)).
 
     c + 2^k = a (mod M) iff 2^k = (a - c) (mod M), so each c needs one
-    lookup of (a - c) mod M in an index of 2^1, ..., 2^T mod M, cached per
-    (M, T) with T entries.  When M = 2 * prod c, as derive_progression
+    lookup of (a - c) mod M in an index of 2^1, ..., 2^T mod M, cached with
+    T per (M, primes).  When M = 2 * prod c, as derive_progression
     makes it, T is the order of 2 mod M/2, so those powers are distinct
     mod M/2 and hence mod M: each c has at most one witness k.  An entry
     lists every k with its power, so any other M is checked exactly too.
@@ -119,8 +134,7 @@ def verify_excludes_primes(progression: CdlProgression) -> ExclusionCertificate:
     a = progression.residue
     m = progression.modulus
     primes = progression.assignment.primes
-    period = math.lcm(*map(ord2, primes))
-    index = _exponent_index(m, period)
+    period, index = _exponent_index(m, primes)
     hits = [(k, i, c) for i, c in enumerate(primes) for k in index.get((a - c) % m, ())]
     hits.sort()
     return ExclusionCertificate(
@@ -132,9 +146,7 @@ def verify_excludes_primes(progression: CdlProgression) -> ExclusionCertificate:
     )
 
 
-def membership_in_U_is_certified(
-    progression: CdlProgression, certificate: ExclusionCertificate | None = None
-) -> bool:
+def membership_in_U_is_certified(progression: CdlProgression) -> bool:
     """Full sufficiency chain for the progression to avoid p + 2^k entirely.
 
     The frozen types prove their own facts when built: PrimeAssignment that
@@ -143,12 +155,9 @@ def membership_in_U_is_certified(
     independently of the computation that produced it: the assignment's
     moduli are the system's, the system covers Z (is_covering, not the
     enumeration's search), M = 2 * prod p_i, a = 2^{a_i} (mod p_i) for each
-    class (not the CRT lift), and no assigned prime occurs as a - 2^k.
-    That last fact is read off certificate when given, which must be
-    verify_excludes_primes of this same progression.
+    class (not the CRT lift), and no assigned prime occurs as a - 2^k
+    (verify_excludes_primes).
     """
-    if certificate is not None and certificate.progression != progression:
-        raise ValueError("certificate is for a different progression")
     system = progression.system
     assignment = progression.assignment
     if assignment.moduli != system.moduli:
@@ -161,9 +170,7 @@ def membership_in_U_is_certified(
     for cond, (_, p) in zip(system.classes, assignment.pairs):
         if a % p != pow(2, cond.residue, p):
             return False
-    if certificate is None:
-        certificate = verify_excludes_primes(progression)
-    return certificate.verdict
+    return verify_excludes_primes(progression).verdict
 
 
 def pair_gcd_census(progressions) -> tuple[int, int]:
@@ -176,16 +183,8 @@ def pair_gcd_census(progressions) -> tuple[int, int]:
     m = progs[0][1]
     if m < 2 or m % 2:
         raise ValueError(f"progression modulus must be even and >= 2, got {m}")
-    residues = []
-    for a, mm in progs:
+    for _, mm in progs:
         if mm != m:
             raise ValueError(f"mixed moduli: {mm} != {m}")
-        residues.append(a)
-    total = 0
-    hits = 0
-    for i in range(len(residues)):
-        for j in range(i + 1, len(residues)):
-            total += 1
-            if math.gcd(m, residues[i] - residues[j]) == 2:
-                hits += 1
-    return (total, hits)
+    hits = sum(math.gcd(m, a - b) == 2 for (a, _), (b, _) in combinations(progs, 2))
+    return (math.comb(len(progs), 2), hits)

@@ -196,16 +196,6 @@ def test_membership_fails_for_noncovering_source():
     assert not membership_in_U_is_certified(prog)
 
 
-def test_membership_reads_a_given_certificate():
-    fake = CdlProgression(7, M48, ERDOS_SYSTEM, ERDOS_ASSIGNMENT)
-    broken = CdlProgression(7629217, M48 + 2, ERDOS_SYSTEM, ERDOS_ASSIGNMENT)
-    for prog in (ERDOS, fake, broken):
-        cert = verify_excludes_primes(prog)
-        assert membership_in_U_is_certified(prog, cert) == membership_in_U_is_certified(prog)
-    with pytest.raises(ValueError, match="different progression"):
-        membership_in_U_is_certified(ERDOS, verify_excludes_primes(fake))
-
-
 def test_certificate_json_fields():
     payload = json.loads(verify_excludes_primes(ERDOS).to_json())
     assert payload == {

@@ -5,6 +5,7 @@ byte-identical is checked here; one that alters them on purpose updates
 the hash and says why."""
 
 import hashlib
+import re
 
 import pytest
 
@@ -97,6 +98,45 @@ VERDICT_HASHES = {
 # counts are the longest covered prefix plus one) and the uncovered ones
 SMALL_VERDICTS_HASH = "c2697e5988831c6bede49dbf42d83ba5ba130337995c0ce8c4074664ca622e84"
 
+ERDOS_CLASSES = "0:2,0:3,1:4,3:8,7:12,23:24"
+
+# stdout of the commands whose writers each result type now owns (chen
+# check and scan, density, progression derive and verify), taken while
+# the CLI still wrote them itself; chen scan's elapsed time reads 0
+CLI_HASHES = {
+    ("chen", "check", "--b", "30", "--format", "table"):
+        "00a80b55315f1b5f6d163052aaa78aa6724a7f41aea499072080f2797025a057",
+    ("chen", "check", "--b", "30", "--format", "json"):
+        "db9ec00c50833a0eb91b8d779ef93fdf4ed894224a44e7131d7d5c2c0dccfd65",
+    ("chen", "check", "--b", "11184810", "--format", "table"):
+        "dcc024e37c2828d7576d65b517ae3c4af744ec9af862ff4b8cf7ef435948c0c2",
+    ("chen", "check", "--b", "11184810", "--format", "json"):
+        "9d47aa39e11b431ed625c584f6d02e43695b9624d0a1ccac0f9f2eafbaa017d7",
+    ("chen", "scan", "--from", "11184000", "--to", "11184810", "--format", "json"):
+        "8a2e9c6197fa503129849d7ffbb7779ba55a342408d4e43d14da4ffe7af74413",
+    ("chen", "scan", "--from", "11184000", "--to", "11184810", "--format", "table"):
+        "5884596d8c775bd533aa9b0071bd2d9062b404fccd1090f4075d8192d7563b36",
+    ("density", "--primes", "3,5,7,11,13,17", "--emit", "table"):
+        "cc590e6de8f46347334a75c9c7f519e47b6ea71e59d55b45c47034e85b5e6f14",
+    ("density", "--primes", "3,5,7,11,13,17", "--emit", "csv"):
+        "5a2798a188636686ff49d981a650b7479862c17e1d24b2a6e8366482a4122627",
+    ("density", "--primes", "3,5,7,11,13,17", "--emit", "json"):
+        "7cae5fda6fbe97bbd8cb941ef124b99585ca6b6c1ab41bc7ca36c24ae9d66e23",
+    ("progression", "derive", "--classes", ERDOS_CLASSES, "--format", "json"):
+        "1588c3c186dce99e1326c54e0fbf8fefbcfc695954ddb415a34c6db348bc0b63",
+    ("progression", "derive", "--classes", ERDOS_CLASSES, "--format", "table"):
+        "e9d62a43576abc5ef74802552a886092b00f222c2502b521ebf5c9c6d9331ea0",
+    ("progression", "verify", "--classes", ERDOS_CLASSES, "--format", "json"):
+        "bd556d346a879791f01523affeab20b961fa66bdeff2b235cd688a84a3efa18a",
+    ("progression", "verify", "--classes", ERDOS_CLASSES, "--format", "table"):
+        "db4855f436e466bb54f25949c65b78cb66abc99959cfc5e97d528cba373f930d",
+}
+
+
+def _mask_elapsed(text: str) -> str:
+    text = re.sub(r'"elapsed": [0-9.e+-]+', '"elapsed": 0', text)
+    return re.sub(r"\([0-9.]+s\)", "(0s)", text)
+
 
 @pytest.mark.parametrize("D", sorted(ENUMERATION_HASHES))
 def test_enumeration_json_is_pinned(D, enumeration_24):
@@ -134,3 +174,11 @@ def test_verdict_json_is_pinned(k, big_modulus_verdict):
 def test_small_verdicts_are_pinned():
     lines = "".join(check_even_modulus(b).to_json() + "\n" for b in range(2, 20001, 2))
     assert _sha256(lines) == SMALL_VERDICTS_HASH
+
+
+@pytest.mark.parametrize("argv", list(CLI_HASHES), ids=" ".join)
+def test_cli_output_is_pinned(argv, capsys):
+    assert dispatch(list(argv)) == 0
+    out, err = capsys.readouterr()
+    assert err == ""
+    assert _sha256(_mask_elapsed(out)) == CLI_HASHES[argv]
