@@ -72,10 +72,11 @@ max order / g and are summed in uint16 (< 2^16); dot products are at most
 lcm(orders) and are formed in float32 from nonnegative integer terms, so
 every partial sum is an exact integer (< 2^24); the weights one orbit
 profile meets are summed in float64 and total at most the other side's
-modulus part (< 2^52).  It runs when the pair fits all three windows and
-the joint-orbit loop would walk at least 2^12 joint orbits.  Every other
-pair takes the joint-orbit loop in Python ints, which is also the reference
-the numpy engine is tested against.
+modulus part (< 2^52).  cross_histogram alone chooses: the numpy engine
+runs when the pair fits all three windows, the joint-orbit loop would walk
+at least 2^12 joint orbits and both sides pass the invariance check.
+Every other pair takes the joint-orbit loop in Python ints, which is also
+the reference the numpy engine is tested against.
 """
 
 from __future__ import annotations
@@ -457,17 +458,12 @@ def _cross_arrangement(a: Cluster, b: Cluster):
     return _profile_matrix(keys, g).astype(_np.float32), weights, members_t, weights_m
 
 
-def _cross_histogram_numpy(a: Cluster, b: Cluster) -> dict[int, int]:
-    """Cross histogram of one side's orbit profiles (weight W) against every
-    member profile of the other side (weight W / q), as _cross_arrangement
-    lays them out; a pair it cannot fold takes the joint-orbit loop.  Exact
-    only inside the windows that _fits_numpy_windows checks, which
-    cross_histogram does before choosing this engine."""
-    arrangement = _cross_arrangement(a, b)
-    if arrangement is None:
-        return _cross_histogram_pure(a, b)
-    rows, weights, members_t, weights_m = arrangement
-    order = math.lcm(a.order, b.order)
+def _cross_histogram_numpy(rows, weights, members_t, weights_m, order: int) -> dict[int, int]:
+    """Cross histogram over Z/order of one side's orbit profiles (weight W)
+    against every member profile of the other side (weight W / q), as
+    _cross_arrangement lays them out.  Exact only inside the windows that
+    _fits_numpy_windows checks, which cross_histogram does before choosing
+    this engine."""
     block = max(1, min(len(rows), (1 << 20) // max(len(weights_m), 1)))
     dots = _np.empty((block, len(weights_m)), dtype=_np.float32)
     nus = _np.empty((block, len(weights_m)), dtype=_np.int64)
@@ -517,21 +513,21 @@ def _joint_orbit_count(a: Cluster, b: Cluster) -> int:
     )
 
 
-def _cross_engine(a: Cluster, b: Cluster):
-    """The engine cross_histogram runs: numpy when the pair fits its three
-    exactness windows and the pure cross would walk at least
-    _NUMPY_MIN_JOINT_ORBITS joint orbits, the joint-orbit loop otherwise."""
-    if _fits_numpy_windows(a, b) and _joint_orbit_count(a, b) >= _NUMPY_MIN_JOINT_ORBITS:
-        return _cross_histogram_numpy
-    return _cross_histogram_pure
-
-
 def cross_histogram(a: Cluster, b: Cluster) -> DeltaHistogram:
     """Histogram of the merged cluster without materializing it: for every
     row pair, mult_a * mult_b is accumulated at nu = popcount of the
-    intersection.  Exact, by the engine _cross_engine picks."""
+    intersection.  Exact, and the one place an engine is chosen: numpy when
+    the pair fits its three exactness windows, the joint-orbit loop would
+    walk at least _NUMPY_MIN_JOINT_ORBITS joint orbits and both sides fold
+    (_cross_arrangement), the joint-orbit loop otherwise."""
     _check_coprime(a, b)
-    counts = _cross_engine(a, b)(a, b)
+    arrangement = None
+    if _fits_numpy_windows(a, b) and _joint_orbit_count(a, b) >= _NUMPY_MIN_JOINT_ORBITS:
+        arrangement = _cross_arrangement(a, b)
+    if arrangement is None:
+        counts = _cross_histogram_pure(a, b)
+    else:
+        counts = _cross_histogram_numpy(*arrangement, math.lcm(a.order, b.order))
     return DeltaHistogram(M=a.modulus_part * b.modulus_part, counts=counts)
 
 

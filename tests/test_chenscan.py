@@ -1,20 +1,21 @@
+import itertools
 import json
 import math
 import random
 
 import pytest
 
-from conftest import M48, RESIDUES_48
+from conftest import M48, RESIDUES_48, kernel_cases
 from p2k.chenscan import (
     _N,
     ModulusVerdict,
-    _cover_walk,
+    _longest_prefix,
     _sieved_blocks,
     check_even_modulus,
     find_witness,
     scan_range,
 )
-from p2k.modcore import _ord2_prime, factorize, ord2, primes_up_to
+from p2k.modcore import _ord2_prime, class_cover_search, factorize, ord2, primes_up_to
 
 
 def test_smallest_moduli_covered_in_one_shift():
@@ -99,6 +100,39 @@ def test_order_covering_equals_bitset_sieve_up_to_20000():
 def test_order_covering_equals_bitset_sieve_at_multiples_of_m48(multiple):
     b = multiple * M48
     assert check_even_modulus(b) == _bitset_verdict(b)
+
+
+# covered b whose prefix walk is long or whose T is large: L ends 33 above
+# its start for 16686180 (T = 360) and 21 and 18 above for 14718990
+# (T = 4140) and 13334970 (T = 11880); T = 265932, 1337076 and 7976610 for
+# the last three
+@pytest.mark.parametrize(
+    "b", [16686180, 14718990, 13334970, 17039010, 16353786, 15953222]
+)
+def test_order_covering_equals_bitset_sieve_on_large_covered_b(b):
+    verdict = check_even_modulus(b)
+    assert verdict.covered
+    assert verdict == _bitset_verdict(b)
+
+
+def test_longest_prefix_equals_brute_force():
+    # over every choice vector of each seeded moduli list, the longest
+    # covered prefix from position 0 is T exactly when the full walk finds
+    # a covering, and otherwise the upward walk's L
+    for moduli, T, _, _ in kernel_cases():
+        def cover(vector):
+            covered = 0
+            for c, d in zip(vector, moduli):
+                if c is not None:
+                    covered |= sum(1 << x for x in range(c, T, d))
+            return covered
+
+        vectors = itertools.product(*[[None, *range(d)] for d in moduli])
+        longest = max((~m & (m + 1)).bit_length() - 1 for m in map(cover, vectors))
+        covers = any(class_cover_search(moduli, T))
+        assert covers == (longest == T), moduli
+        if not covers:
+            assert _longest_prefix(moduli, T) == longest, moduli
 
 
 def test_bitset_equals_direct_gcd_loop_up_to_1000():
@@ -202,7 +236,7 @@ def _reference_odd_prime_factors(lo, hi, odd_primes):
 
 def _reference_scan(b_lo, b_hi):
     """The per-b scan: factor lists for every b, its orders, the exact
-    screen sum(T // o) >= T, then the prefix of the cover walk."""
+    screen sum(T // o) >= T, then a walk over Z/T for a covering."""
     start, stop = max(2, b_lo + b_lo % 2), b_hi - b_hi % 2
     odd_primes = primes_up_to(math.isqrt(stop))[1:]
     width = 2 * math.isqrt(stop)
@@ -212,7 +246,7 @@ def _reference_scan(b_lo, b_hi):
         for b, qs in zip(range(lo, hi + 1, 2), _reference_odd_prime_factors(lo, hi, odd_primes)):
             ords = [_ord2_prime(q) for q in qs]
             T = math.lcm(*ords)
-            if sum(T // o for o in ords) >= T and _cover_walk(ords)[0] == T:
+            if sum(T // o for o in ords) >= T and any(class_cover_search(ords, T)):
                 uncovered.append(check_even_modulus(b))
     return uncovered
 

@@ -34,7 +34,6 @@ from p2k.density import (
     _canonical,
     _coprime_table,
     _cross_arrangement,
-    _cross_engine,
     _cross_histogram_numpy,
     _cross_histogram_pure,
     _fits_numpy_windows,
@@ -45,6 +44,24 @@ from p2k.density import (
     _profile_orbits,
     _unit_generators,
 )
+
+
+def _numpy_cross(a, b):
+    """The numpy engine on a pair that folds, whatever engine
+    cross_histogram would choose for it."""
+    return _cross_histogram_numpy(*_cross_arrangement(a, b), math.lcm(a.order, b.order))
+
+
+@pytest.fixture
+def engines_run(monkeypatch):
+    """The engines cross_histogram runs, "numpy" or "pure", in call order."""
+    run = []
+    for name, engine in [("numpy", _cross_histogram_numpy), ("pure", _cross_histogram_pure)]:
+        def spy(*args, name=name, engine=engine):
+            run.append(name)
+            return engine(*args)
+        monkeypatch.setattr(density, f"_cross_histogram_{name}", spy)
+    return run
 
 
 def test_prime_cluster_3():
@@ -150,7 +167,7 @@ def test_cross_numpy_backend_matches_pure():
         right = TRIVIAL_CLUSTER
         for p in primes_r:
             right = merge(right, prime_cluster(p))
-        assert _cross_histogram_numpy(left, right) == _cross_histogram_pure(left, right)
+        assert _numpy_cross(left, right) == _cross_histogram_pure(left, right)
 
 
 # full-row oracle: the merge and cross loops over every row pair, with an
@@ -246,7 +263,7 @@ def test_cross_numpy_quotient_equals_pure_and_oracle(split):
     merged = merge(a, b)
     merged.validate()
     assert merged.rows == _merge_rows(a, b)
-    h_np = _cross_histogram_numpy(a, b)
+    h_np = _numpy_cross(a, b)
     h_pure = _cross_histogram_pure(a, b)
     assert h_np == h_pure == _cross_rows(a, b) == cross_histogram(a, b).counts
     assert h_pure == brute_force_delta(math.prod(left + right)).counts
@@ -295,37 +312,42 @@ def test_unit_generators_generate_the_unit_group():
         assert group == units, g
 
 
-def test_rotation_closed_but_not_affine_invariant_falls_back():
+def test_rotation_closed_but_not_affine_invariant_falls_back(monkeypatch, engines_run):
     # over Z/5 the unit 2 maps the orbit of {0, 1} onto that of {0, 2}, so
     # multiplicities 1 and 2 on them (plus a full row, which makes the
     # masses 17 and 19 coprime) give rotation-closed clusters that are not
-    # affine invariant; the modulus parts only label the masses
+    # affine invariant; the modulus parts only label the masses.  With the
+    # size rule admitting every pair, each one still takes the joint-orbit
+    # loop, since some side does not fold
+    monkeypatch.setattr(density, "_NUMPY_MIN_JOINT_ORBITS", 0)
     c = Cluster(17, 5, {0b11111: 2, 0b00011: 5, 0b00101: 10})
     d = Cluster(19, 5, {0b11111: 4, 0b00011: 10, 0b00101: 5})
     for x in (c, d):
         keys, _, weights = _profile_orbits(x, 5)
         assert _affine_fold(keys, weights, 5) is None
-    assert _cross_histogram_numpy(c, d) == _cross_histogram_pure(c, d) == _cross_rows(c, d)
-    # neither side may fold, so the numpy engine hands the pair on
+    # neither side may fold
     assert _cross_arrangement(c, d) is None
     # the image of {0, 1} is missing altogether here, though the key it
     # would sort before (the full row) has the same weight
     e = Cluster(11, 5, {0b11111: 5, 0b00011: 5, 0: 1})
     keys, _, weights = _profile_orbits(e, 5)
     assert _affine_fold(keys, weights, 5) is None
-    assert _cross_histogram_numpy(e, d) == _cross_histogram_pure(e, d) == _cross_rows(e, d)
     # one invariant side is not enough
     p31 = prime_cluster(31)
     assert _cross_arrangement(c, p31) is None
-    assert _cross_histogram_numpy(c, p31) == _cross_histogram_pure(c, p31) == _cross_rows(c, p31)
-    assert _cross_histogram_numpy(p31, d) == _cross_histogram_pure(p31, d) == _cross_rows(p31, d)
+    assert _cross_arrangement(p31, d) is None
+    pairs = [(c, d), (e, d), (c, p31), (p31, d)]
+    for x, y in pairs:
+        assert cross_histogram(x, y).counts == _cross_histogram_pure(x, y) == _cross_rows(x, y)
+    assert engines_run == ["pure"] * len(pairs)
 
 
-def test_large_non_invariant_pair_takes_the_joint_orbit_loop():
+def test_large_non_invariant_pair_takes_the_joint_orbit_loop(engines_run):
     # over Z/20 the unit 3 maps the rotation orbit of {0, 4, 8} onto that of
     # {0, 4, 12}; moving one unit of multiplicity from one to the other
     # leaves the half cluster rotation closed but not affine invariant, and
-    # the pair still walks enough joint orbits to select the numpy engine
+    # the pair still fits the windows and walks enough joint orbits to pass
+    # the size rule, so only the failed fold keeps it off the numpy engine
     a, b = _half_cluster((3, 5, 11, 41)), _half_cluster((7, 13, 31))
     assert a.order == math.gcd(a.order, b.order) == 20
     assert _cross_arrangement(a, b) is not None
@@ -336,12 +358,15 @@ def test_large_non_invariant_pair_takes_the_joint_orbit_loop():
     altered.validate()
     keys, _, weights = _profile_orbits(altered, 20)
     assert _affine_fold(keys, weights, 20) is None
+    assert _fits_numpy_windows(altered, b)
     assert _joint_orbit_count(altered, b) >= 1 << 12
-    assert _cross_engine(altered, b) is _cross_histogram_numpy
     assert _cross_arrangement(altered, b) is None
     expected = _cross_rows(altered, b)
-    assert _cross_histogram_numpy(altered, b) == expected
     assert cross_histogram(altered, b).counts == expected
+    assert engines_run == ["pure"]
+    # the unaltered pair folds and takes the numpy engine
+    assert cross_histogram(a, b).counts == _cross_rows(a, b)
+    assert engines_run == ["pure", "numpy"]
 
 
 def test_validate_rejects_non_canonical_key():
@@ -385,10 +410,10 @@ def test_cross_numpy_uint16_window():
     assert not _fits_numpy_windows(edge, TRIVIAL_CLUSTER)
     inside = Cluster(15, 65532, {(1 << 65532) - 1: 15})
     assert _fits_numpy_windows(inside, TRIVIAL_CLUSTER)
-    assert _cross_histogram_numpy(inside, TRIVIAL_CLUSTER) == {65532: 15}
+    assert _numpy_cross(inside, TRIVIAL_CLUSTER) == {65532: 15}
 
 
-def test_cross_uint16_window_guards_the_default_path(monkeypatch):
+def test_cross_uint16_window_guards_the_default_path(monkeypatch, engines_run):
     # with the size rule admitting every pair, profile counts of 70000
     # still keep this pair off the numpy engine
     monkeypatch.setattr(density, "_NUMPY_MIN_JOINT_ORBITS", 0)
@@ -396,23 +421,26 @@ def test_cross_uint16_window_guards_the_default_path(monkeypatch):
     a = Cluster(70015, 70000, {full: 15, full >> 1: 70000})
     b = prime_cluster(7)
     assert not _fits_numpy_windows(a, b)
-    assert _cross_engine(a, b) is _cross_histogram_pure
     expected = {139998: 210000, 140000: 45, 209997: 280000, 210000: 60}
     assert cross_histogram(a, b).counts == expected
+    assert engines_run == ["pure"]
     # unguarded, the numpy engine wraps every count in uint16
-    assert _cross_histogram_numpy(a, b) == {
+    assert _numpy_cross(a, b) == {
         8926: 210000, 8928: 45, 13389: 280000, 13392: 60,
     }
 
 
-def test_cross_numpy_float32_window():
+def test_cross_numpy_float32_window(monkeypatch, engines_run):
     # order/g = 4097 fits uint16, but the lcm 4096 * 4097 >= 2^24 does not
-    # fit float32 exactly
+    # fit float32 exactly; with the size rule admitting every pair, that
+    # alone keeps the pair off the numpy engine
+    monkeypatch.setattr(density, "_NUMPY_MIN_JOINT_ORBITS", 0)
     order = 4096 * 4097
     a = Cluster(15, order, {(1 << order) - 1: 15})
     b = Cluster(17, 4096, {(1 << 4096) - 1: 17})
     assert not _fits_numpy_windows(a, b)
     assert cross_histogram(a, b).counts == {order: 15 * 17}
+    assert engines_run == ["pure"]
 
 
 def test_cross_rejects_common_factor():
@@ -431,7 +459,7 @@ def test_brute_force_backends_agree():
     # the oracle and both cross engines on the 23205 split
     a, b = _half_cluster((3, 13)), _half_cluster((5, 7, 17))
     expected = brute_force_delta(23205).counts
-    assert _cross_histogram_pure(a, b) == _cross_histogram_numpy(a, b) == expected
+    assert _cross_histogram_pure(a, b) == _numpy_cross(a, b) == expected
 
 
 # ord2(3193) = 255 is the widest the oracle counts in uint8 (m = 0 reaches
@@ -447,7 +475,7 @@ def test_brute_force_equals_per_pair_gcd_loop(M, engine):
         nu = sum(1 for t in pows if math.gcd(m - t, M) == 1)
         expected[nu] = expected.get(nu, 0) + 1
     assert brute_force_delta(M).counts == expected
-    cross = {"pure": _cross_histogram_pure, "numpy": _cross_histogram_numpy}[engine]
+    cross = {"pure": _cross_histogram_pure, "numpy": _numpy_cross}[engine]
     left, right = balance_partition(p for p, _ in factorize(M))
     assert cross(_half_cluster(left), _half_cluster(right)) == expected
 
@@ -498,18 +526,20 @@ BOUND_SETS = PUBLISHED_SETS + [(3, 5, 7, 11, 13, 17, 19, 31, 41, 73, 241)]
 @pytest.mark.parametrize(
     "primes", BOUND_SETS, ids=lambda primes: ",".join(map(str, primes))
 )
-def test_cross_engine_of_the_published_sets(primes):
+def test_cross_engine_of_the_published_sets(primes, engines_run):
     # every published fixture is cheaper in the joint-orbit loop; the
     # 11-prime set walks 11,310,715 joint orbits and takes numpy
     left, right = balance_partition(primes)
     a, b = _half_cluster(left), _half_cluster(right)
     count = _joint_orbit_count(a, b)
+    cross_histogram(a, b)
     if len(primes) < 11:
         assert sum(1 for _ in _joint_orbits(a, b, math.lcm(a.order, b.order))) == count
-        assert _cross_engine(a, b) is _cross_histogram_pure
+        assert count < 1 << 12
+        assert engines_run == ["pure"]
     else:
         assert count == 11_310_715
-        assert _cross_engine(a, b) is _cross_histogram_numpy
+        assert engines_run == ["numpy"]
 
 
 @pytest.mark.parametrize(

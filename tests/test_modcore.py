@@ -7,9 +7,9 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from conftest import kernel_cases
 from mersenne_table import MERSENNE_FACTORS
 from p2k import modcore
-from p2k.chenscan import _cover_walk
 from p2k.modcore import (
     _RHO_STEPS,
     CongruenceCondition,
@@ -272,24 +272,6 @@ def test_is_prime_matches_sieve_below_one_million():
     assert [n for n in range(10**6) if is_prime(n)] == sorted(primes)
 
 
-def _kernel_cases():
-    """Seeded moduli lists with repeats, T = lcm <= 24, random target masks
-    and initially barred classes, small enough to enumerate every choice
-    vector."""
-    rng = random.Random(2024)
-    cases = []
-    while len(cases) < 150:
-        divs = divisors(rng.randint(1, 24))
-        moduli = [rng.choice(divs) for _ in range(rng.randint(1, 5))]
-        if math.prod(d + 1 for d in moduli) > 3000:
-            continue
-        T = math.lcm(*moduli)
-        target = rng.getrandbits(T) | rng.getrandbits(T)
-        barred = [rng.getrandbits(d) & rng.getrandbits(d) for d in moduli]
-        cases.append((moduli, T, target, barred))
-    return cases
-
-
 @settings(max_examples=200, deadline=None)
 @given(
     st.integers(min_value=1, max_value=5),
@@ -325,7 +307,7 @@ def test_period_mask_equals_bit_loop():
 
 
 def test_class_cover_search_equals_brute_force():
-    for moduli, T, target, barred in _kernel_cases():
+    for moduli, T, target, barred in kernel_cases():
         _check_class_cover_search(moduli, T, target, barred)
         _check_class_cover_search(moduli, T, (1 << T) - 1, [0] * len(moduli))
 
@@ -370,7 +352,3 @@ def _check_class_cover_search(moduli, T, target, start_barred):
     # a fresh walk yields the whole family set again
     again = [family(*node) for node in class_cover_search(moduli, T, target, caller_barred)]
     assert again == families
-    # the longest covered prefix from position 0 over every vector
-    vectors = itertools.product(*[[None, *range(d)] for d in moduli])
-    longest = max((~m & (m + 1)).bit_length() - 1 for m in map(cover, vectors))
-    assert _cover_walk(moduli)[0] == longest
