@@ -26,10 +26,12 @@ most one node, so it ends at its first covering node.
   shifts.  Entry i can take position i, so L >= min(len(orders), T - 1),
   and covering a prefix is monotone in its length, so _longest_prefix
   walks upward from there, one yes-or-no walk per length, and stops at the
-  first prefix with no covering.  On every even b <= 20000 plus 3000
-  seeded even b in [2 * 10^5, 2 * 10^7] (13,000 covered), L is that
-  starting value for 8,157 b and at most 18 above it, and the covered
-  verdicts take 1.7-2.1 s in all (2-core Xeon, Python 3.11).
+  first prefix with no covering.  Each walk's ring is its prefix, the
+  positions 0..L, not Z/T, so its masks are L + 1 bits wide whatever T
+  is.  On every even b <= 20000 plus 3000 seeded even b in
+  [2 * 10^5, 2 * 10^7] (13,000 covered), L is that starting value for
+  8,157 b and at most 18 above it, and the covered verdicts take
+  0.73-0.79 s in all (2-core Xeon, Python 3.11).
 * Uncovered b: the shift values 2^k mod b run through v2(b) - 1 pre-period
   values and then ord_2(b_odd) periodic ones, and the strike-out stops at the
   first repeat, so shifts_used = v2(b) - 1 + ord_2(b_odd).  leftover holds
@@ -137,10 +139,12 @@ def _longest_prefix(orders, T: int) -> int:
     """The largest L < T such that one class per order covers 0..L - 1, for
     orders that do not cover Z/T: a walk upward from
     L = min(len(orders), T - 1), which entry i taking position i always
-    reaches.  Covering a prefix is monotone in its length, so the first
-    prefix no walk covers ends it, by L = T - 1 at the latest."""
+    reaches.  Each step asks class_cover_search about the ring of the
+    L + 1 positions 0..L itself, which no order need divide.  Covering a
+    prefix is monotone in its length, so the first prefix no walk covers
+    ends it, by L = T - 1 at the latest."""
     L = min(len(orders), T - 1)
-    while any(class_cover_search(orders, T, (1 << L + 1) - 1)):
+    while any(class_cover_search(orders, L + 1)):
         L += 1
     return L
 

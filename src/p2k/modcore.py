@@ -5,12 +5,14 @@ division, then Pollard-Brent rho, every factor proven prime), Euler phi,
 the prime divisors of 2^d - 1, crt_basis, the CRT idempotents that lift
 residues to a product of coprime moduli for both the CDL progressions
 (covering) and the Chen leftovers (chenscan), and class_cover_search, the
-one search for one class (or none) per modulus covering Z/T (or a target
-part of it) that both the CDL enumeration (covering) and the Chen scan
-(chenscan) run.  It branches on a position with the fewest open classes
-and is a generator: it yields each covering node, a disjoint family of
-covering choices, as live (classes, barred) lists, and a caller that
-stops drawing stops the walk.
+one search for one class (or none) per modulus covering the positions
+0..T - 1 (or a target part of them), for any T >= 1, that the CDL
+enumeration (covering), the Chen scan and the Chen prefix walk (chenscan)
+all run: Z/T when every modulus divides T, a prefix of the periodic
+classes otherwise.  It branches on a position with the fewest open
+classes and is a generator: it yields each covering node, a disjoint
+family of covering choices, as live (classes, barred) lists, and a caller
+that stops drawing stops the walk.
 """
 
 from __future__ import annotations
@@ -317,14 +319,16 @@ def crt_basis(moduli: tuple[int, ...]) -> tuple[int, tuple[int, ...]]:
 
 @lru_cache(maxsize=256)
 def period_mask(d: int, T: int) -> int:
-    """Bits 0, d, 2d, ... below T, for d dividing T: the class 0 mod d in
-    Z/T.  So the class c is period_mask(d, T) << c (class_cover_search and
-    covering's class masks), and a row m of Z/d lifts to its inverse image
-    m * period_mask(d, T) in Z/T (density's row lifts; m < 2^d, so the
-    product has no carries).  The pattern doubles its width until it spans
-    T, log2(T/d) big-int shifts (the quotient (2^T - 1) // (2^d - 1) would
-    be quadratic in large T).  The cache is bounded: a Chen scan meets tens
-    of thousands of (d, T) pairs, with T up to 319,380 bits."""
+    """Bits 0, d, 2d, ... below T, for any d, T >= 1: the positions x < T
+    with x = 0 (mod d), just bit 0 when d >= T.  So the class c is
+    period_mask(d, T) << c (class_cover_search, which reads only its bits
+    below T, and covering's class masks), and for d dividing T a row m of
+    Z/d lifts to its inverse image m * period_mask(d, T) in Z/T (density's
+    row lifts; m < 2^d, so the product has no carries).  The pattern
+    doubles its width until it spans T, log2(T/d) big-int shifts (the
+    quotient (2^T - 1) // (2^d - 1) would be quadratic in large T).  The
+    cache is bounded: a Chen scan meets tens of thousands of (d, T) pairs,
+    with T up to 319,380 bits."""
     mask, width = 1, d
     while width < T:
         mask |= mask << width
@@ -334,16 +338,21 @@ def period_mask(d: int, T: int) -> int:
 
 def class_cover_search(moduli, T: int, target=None, barred=None):
     """Yield the choices of one class (or none) per entry of moduli that
-    cover the positions of target (a mask over Z/T, all of it by default).
+    cover the positions of target (a mask over positions 0..T - 1, all of
+    them by default), for any T >= 1.
 
-    Each modulus divides T; repeats are allowed.  Bit c of barred[i] (none
-    by default) bars class c from entry i.  At each node entry i's open
-    positions are ~(period * barred[i]), period the mask of class 0 mod
-    moduli[i]: barred[i] < 2^moduli[i], so the product has no carries.
-    Three bit-sliced counters over the unplaced entries mark the uncovered
-    positions with at least one, two and three open classes.  A node dies
-    when an uncovered position has none, or when the uncovered positions
-    outnumber the sum of T // moduli[i] over the unplaced entries.  Else it
+    Class c of modulus d holds the positions x < T with x = c (mod d):
+    Z/T's class when d divides T, else the first T positions of the
+    periodic one, at most ceil(T / d) of them (the Chen prefix walk asks
+    for the first L + 1 positions).  Repeats are allowed.  Bit c of
+    barred[i] (none by default) bars class c from entry i.  At each node
+    entry i's open positions are ~(period * barred[i]), period the mask of
+    class 0 mod moduli[i]: barred[i] < 2^moduli[i], so the product has no
+    carries, and no bit at T or above is read.  Three bit-sliced counters
+    over the unplaced entries mark the uncovered positions with at least
+    one, two and three open classes.  A node dies when an uncovered
+    position has none, or when the uncovered positions outnumber the room
+    of the unplaced entries, ceil(T / moduli[i]) each.  Else it
     branches on the least position x with one open class, else with two,
     else on the least uncovered one (Knuth's Algorithm X, "Dancing Links",
     arXiv cs/0011047): each unplaced entry i whose class x mod moduli[i] is
@@ -360,7 +369,7 @@ def class_cover_search(moduli, T: int, target=None, barred=None):
     caller that needs only the first covering node (or to know there is
     one) stops drawing; the walk goes no further.
     """
-    entries = [(i, d, period_mask(d, T), T // d) for i, d in enumerate(moduli)]
+    entries = [(i, d, period_mask(d, T), -(-T // d)) for i, d in enumerate(moduli)]
     classes: list[int | None] = [None] * len(moduli)
     barred = [0] * len(moduli) if barred is None else list(barred)
 
@@ -394,4 +403,4 @@ def class_cover_search(moduli, T: int, target=None, barred=None):
 
     if target is None:
         target = (1 << T) - 1
-    yield from walk(target, sum(T // d for d in moduli))
+    yield from walk(target, sum(size for _, _, _, size in entries))

@@ -281,6 +281,22 @@ def test_density_11_halves_expand_to_the_traced_row_counts():
     assert math.gcd(a.order, b.order) == 60
 
 
+def test_run_estimate_crosses_the_density_11_halves_through_the_module(monkeypatch):
+    # a traced benchmark pass wraps density.cross_histogram through the
+    # module attribute and reads the sizes of its largest call off the
+    # arguments, so run_estimate must make that call, on the halves above
+    calls = []
+    cross = density.cross_histogram
+
+    def spy(a, b):
+        calls.append((len(a.rows), len(b.rows), math.gcd(a.order, b.order)))
+        return cross(a, b)
+
+    monkeypatch.setattr(density, "cross_histogram", spy)
+    density.run_estimate([241, 3, 73, 5, 41, 7, 31, 11, 19, 13, 17])
+    assert max(calls, key=lambda c: c[0] * c[1]) == (37016, 106093, 60)
+
+
 def test_density_11_affine_fold_sizes():
     # the rotation orbits of the profiles mod 60 fold to their AGL(1, Z/60)
     # orbits, and the folded left half meets every member of the right

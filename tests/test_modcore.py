@@ -301,13 +301,28 @@ def test_crt_basis_is_the_brute_force_crt(v, odd, data):
 
 
 def test_period_mask_equals_bit_loop():
-    for T in list(range(1, 121)) + [360, 10920]:
-        for d in divisors(T):
+    # d need not divide T, and may exceed it (the mask is then bit 0 alone)
+    for T in [*range(1, 121), 360, 10920]:
+        for d in range(1, 2 * T + 1):
             assert period_mask(d, T) == sum(1 << x for x in range(0, T, d)), (d, T)
 
 
 def test_class_cover_search_equals_brute_force():
     for moduli, T, target, barred in kernel_cases():
+        _check_class_cover_search(moduli, T, target, barred)
+        _check_class_cover_search(moduli, T, (1 << T) - 1, [0] * len(moduli))
+
+
+def test_class_cover_search_on_any_ring_size():
+    # T need not be a multiple of any modulus, as in the Chen prefix walk's
+    # rings of L + 1 positions: class c mod d then holds ceil((T - c) / d)
+    # of the positions, so each entry's room is ceil(T / d), not T // d
+    rng = random.Random(28)
+    for _ in range(300):
+        moduli = [rng.randint(1, 12) for _ in range(rng.randint(1, 4))]
+        T = rng.randint(1, 30)
+        target = rng.getrandbits(T) | rng.getrandbits(T)
+        barred = [rng.getrandbits(d) & rng.getrandbits(d) for d in moduli]
         _check_class_cover_search(moduli, T, target, barred)
         _check_class_cover_search(moduli, T, (1 << T) - 1, [0] * len(moduli))
 
