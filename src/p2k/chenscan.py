@@ -14,9 +14,10 @@ number of such j.
 Everything therefore lives on exponents mod T = lcm of the orders, and
 modcore.class_cover_search decides b: it picks one class per prime over
 Z/T, branching on a position with the fewest open classes and pruning
-positions no open class covers.  Its position x stands for exponent x + 1,
-so position class c blocks the residue 2^(c+1) mod q.  The search is a
-generator of covering nodes.  check_even_modulus first draws every node of
+positions no open class covers, once the orders pass its counting screen
+(below).  Its position x stands for exponent x + 1, so position class c
+blocks the residue 2^(c+1) mod q.  The search is a generator of covering
+nodes.  check_even_modulus first draws every node of
 one walk over all of Z/T and copies each family, which the leftovers are
 rebuilt from.  A yes-or-no walk, any(class_cover_search(...)), draws at
 most one node, so it ends at its first covering node.
@@ -30,8 +31,9 @@ most one node, so it ends at its first covering node.
   positions 0..L, not Z/T, so its masks are L + 1 bits wide whatever T
   is.  On every even b <= 20000 plus 3000 seeded even b in
   [2 * 10^5, 2 * 10^7] (13,000 covered), L is that starting value for
-  8,157 b and at most 18 above it, and the covered verdicts take
-  0.73-0.79 s in all (2-core Xeon, Python 3.11).
+  8,157 b and at most 18 above it, the full walk ends at the counting
+  screen (below) for 12,830 b, and the covered verdicts take 0.20-0.25 s
+  in all (2-core Xeon, Python 3.11).
 * Uncovered b: the shift values 2^k mod b run through v2(b) - 1 pre-period
   values and then ord_2(b_odd) periodic ones, and the strike-out stops at the
   first repeat, so shifts_used = v2(b) - 1 + ord_2(b_odd).  leftover holds
@@ -41,21 +43,26 @@ most one node, so it ends at its first covering node.
   to the power of q in b.  The CRT basis of modcore.crt_basis, which the
   CDL progressions (covering) read too, combines them with every odd
   residue mod 2^v2(b): each residue adds its multiple of its modulus'
-  basis element, and each sum is reduced mod b once.
+  basis element, and each sum is reduced mod b once.  The residues are
+  counted before any is built, and a b that leaves more than
+  _LEFTOVER_LIMIT of them (10^7) is refused with ValueError.
 
-The range scan drops every b that fails the counting screen
-sum(T // o) >= T, i.e. sum(1 / o) >= 1: one class mod o holds T / o of the
-T exponents mod T, so classes with fewer than T exponents in total cannot
-cover Z/T.  Most b fail it, and most of those are dropped before any
-factoring: a segmented sieve adds, for each b, an integer upper bound on
+Every walk starts with class_cover_search's counting screen,
+sum(T // o) >= T over Z/T, i.e. sum(1 / o) >= 1: one class mod o holds
+T / o of the T exponents mod T, so classes with fewer than T exponents in
+total cannot cover Z/T, and the search returns before building any mask.
+Most b fail it; for such a covered b the verdict's full walk costs a sum
+over its orders, and only the prefix walks build masks, each L + 1 bits
+wide.  The range scan drops most b that fail it before any factoring: a
+segmented sieve adds, for each b, an integer upper bound on
 N * sum(1 / o) with N = 2^62.  Each odd prime q <= sqrt(hi), hi the last b
 of the block, adds ceil(N / ord_2(q)) to its multiples.  What is left of b
 after those primes and its factor 2 is 1 or one prime r > isqrt(hi).
 2^ord_2(r) - 1 is a positive multiple of r, so 2^ord_2(r) > isqrt(hi) + 1
 and ord_2(r) >= l = (isqrt(hi) + 1).bit_length(); every b is credited
 ceil(N / l) for it.  A total below N proves sum(1 / o) < 1, so dropping on
-it is exact.  Both tests are integer arithmetic and only ever drop covered
-b.
+it is exact.  Both the sieve and the screen are integer arithmetic and
+only ever drop covered b.
 """
 
 from __future__ import annotations
@@ -149,11 +156,35 @@ def _longest_prefix(orders, T: int) -> int:
     return L
 
 
+# The most leftover residues a verdict lists, about 0.4 GB of Python ints;
+# b = 11184810 * 2^22 leaves 201,326,592.
+_LEFTOVER_LIMIT = 10**7
+
+
 def _leftover(two: int, odd_factors, orders, families) -> tuple[int, ...]:
     """Odd residues mod two * prod(q^f) whose blocked classes cover Z, by
     CRT over the covering families of a walk over Z/T, as the module
-    docstring says."""
+    docstring says.  They are counted first: each family lists two / 2
+    odd residues mod two times the q^(f - 1) lifts of each residue mod q
+    it leaves, one for a placed class and q less the barred classes for
+    an open entry.  Raises ValueError when the count exceeds
+    _LEFTOVER_LIMIT."""
     M, (e_two, *basis) = crt_basis((two, *(q**f for q, f in odd_factors)))
+    size = two // 2 * math.prod(q ** (f - 1) for q, f in odd_factors) * sum(
+        math.prod(
+            q - bar.bit_count()
+            for (q, _), c, bar in zip(odd_factors, classes, barred)
+            if c is None
+        )
+        if None in classes
+        else 1
+        for classes, barred in families
+    )
+    if size > _LEFTOVER_LIMIT:
+        raise ValueError(
+            f"b = {M} leaves {size} odd residues, more than the "
+            f"{_LEFTOVER_LIMIT} a verdict lists"
+        )
     out: list[int] = []
     for classes, barred in families:
         sums = [s * e_two for s in range(1, two, 2)]
@@ -171,7 +202,9 @@ def _leftover(two: int, odd_factors, orders, families) -> tuple[int, ...]:
 
 
 def check_even_modulus(b: int) -> ModulusVerdict:
-    """Verdict for one even modulus from the orders of its odd primes."""
+    """Verdict for one even modulus from the orders of its odd primes.
+    Raises ValueError for b that is odd or below 2, cannot be factored,
+    or leaves more than _LEFTOVER_LIMIT odd residues."""
     if b < 2 or b % 2 != 0:
         raise ValueError(f"modulus must be even and >= 2, got {b}")
     odd_factors = [(q, f) for q, f in factorize(b) if q != 2]
@@ -230,12 +263,13 @@ def scan_range(b_lo: int, b_hi: int) -> ScanReport:
     Block by block, the sieved bound (_sieved_blocks) drops every b whose
     odd primes certainly fail the counting screen, with no division and no
     factor list.  Only the rest are factored, get their orders (memoised
-    per prime in modcore), meet the exact screen and then a walk over Z/T
-    that stops at its first covering node; its yes or no is memoised per
-    sorted multiset of orders.  check_even_modulus runs only on the b
-    found uncovered.  Memory grows with the range only through that memo,
-    one small tuple per distinct multiset (16,037 over the even b in
-    [2, 11184810]).
+    per prime in modcore) and meet one walk over Z/T, which ends at the
+    exact counting screen (class_cover_search's entry test) or at its
+    first covering node; its yes or no is memoised per sorted multiset of
+    orders.  check_even_modulus runs only on the b found uncovered.
+    Memory grows with the range only through that memo, one small tuple
+    per distinct multiset (32,416 over the even b in [2, 11184810], the
+    ones that fail the screen included).
     """
     start = max(2, b_lo + b_lo % 2)
     stop = b_hi - b_hi % 2
@@ -249,8 +283,6 @@ def scan_range(b_lo: int, b_hi: int) -> ScanReport:
             b = lo + 2 * i
             ords = [_ord2_prime(q) for q, _ in factorize(b) if q != 2]
             T = math.lcm(*ords)
-            if sum(T // o for o in ords) < T:
-                continue
             key = tuple(sorted(ords))
             if key not in covers:
                 covers[key] = any(class_cover_search(key, T))

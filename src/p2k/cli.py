@@ -208,7 +208,7 @@ def build_parser() -> argparse.ArgumentParser:
     pverify_p.set_defaults(func=_cmd_progression_verify)
     census_p = prog_sub.add_parser("census", help="pairwise gcd census")
     census_p.add_argument("--D", type=int, help="census the progressions for this D")
-    census_p.add_argument("--residues", help="comma list of residues")
+    census_p.add_argument("--residues", help="comma list of distinct odd residues in (0, modulus)")
     census_p.add_argument("--modulus", type=int)
     census_p.add_argument("--format", choices=("json", "table"), default="table")
     census_p.set_defaults(func=_cmd_progression_census)

@@ -9,10 +9,13 @@ one search for one class (or none) per modulus covering the positions
 0..T - 1 (or a target part of them), for any T >= 1, that the CDL
 enumeration (covering), the Chen scan and the Chen prefix walk (chenscan)
 all run: Z/T when every modulus divides T, a prefix of the periodic
-classes otherwise.  It branches on a position with the fewest open
-classes and is a generator: it yields each covering node, a disjoint
-family of covering choices, as live (classes, barred) lists, and a caller
-that stops drawing stops the walk.
+classes otherwise.  It first applies the counting screen: when the
+classes hold fewer positions in total, sum(ceil(T / d)), than it must
+cover, it returns before building any mask, so the Chen scan and the Chen
+verdict decide most b from their orders alone.  Otherwise it branches on
+a position with the fewest open classes and is a generator: it yields
+each covering node, a disjoint family of covering choices, as live
+(classes, barred) lists, and a caller that stops drawing stops the walk.
 """
 
 from __future__ import annotations
@@ -348,13 +351,18 @@ def class_cover_search(moduli, T: int, target=None, barred=None):
     barred[i] (none by default) bars class c from entry i.  At each node
     entry i's open positions are ~(period * barred[i]), period the mask of
     class 0 mod moduli[i]: barred[i] < 2^moduli[i], so the product has no
-    carries, and no bit at T or above is read.  Three bit-sliced counters
-    over the unplaced entries mark the uncovered positions with at least
-    one, two and three open classes.  A node dies when an uncovered
-    position has none, or when the uncovered positions outnumber the room
-    of the unplaced entries, ceil(T / moduli[i]) each.  Else it
-    branches on the least position x with one open class, else with two,
-    else on the least uncovered one (Knuth's Algorithm X, "Dancing Links",
+    carries, and no bit at T or above is read.  The room of an entry is
+    ceil(T / moduli[i]), the most positions one of its classes holds.  On
+    entry the search yields nothing when the room of all entries is below
+    the number of positions to cover, T or target.bit_count() (the counting
+    screen, the root node's room test run before any period mask or the
+    target is built; an empty target always passes).  Three bit-sliced
+    counters over the unplaced entries mark the uncovered positions with
+    at least one, two and three open classes.  A node dies when an
+    uncovered position has none, or when the uncovered positions outnumber
+    the room of the unplaced entries.  Else it branches on the least
+    position x with one open class, else with two, else on the least
+    uncovered one (Knuth's Algorithm X, "Dancing Links",
     arXiv cs/0011047): each unplaced entry i whose class x mod moduli[i] is
     open takes it, and bars it in the later sibling branches once its
     branch is done.  Any x must be covered by some entry, so every choice
@@ -369,6 +377,9 @@ def class_cover_search(moduli, T: int, target=None, barred=None):
     caller that needs only the first covering node (or to know there is
     one) stops drawing; the walk goes no further.
     """
+    room = sum(-(-T // d) for d in moduli)
+    if room < (T if target is None else target.bit_count()):
+        return
     entries = [(i, d, period_mask(d, T), -(-T // d)) for i, d in enumerate(moduli)]
     classes: list[int | None] = [None] * len(moduli)
     barred = [0] * len(moduli) if barred is None else list(barred)
@@ -401,6 +412,4 @@ def class_cover_search(moduli, T: int, target=None, barred=None):
                     barred[i] |= 1 << c
         barred[:] = entry_barred
 
-    if target is None:
-        target = (1 << T) - 1
-    yield from walk(target, sum(size for _, _, _, size in entries))
+    yield from walk((1 << T) - 1 if target is None else target, room)

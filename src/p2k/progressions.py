@@ -176,15 +176,24 @@ def membership_in_U_is_certified(progression: CdlProgression) -> bool:
 def pair_gcd_census(progressions) -> tuple[int, int]:
     """Over all unordered pairs of (a, M) progressions sharing one modulus
     M, count how many satisfy gcd(M, a_i - a_j) = 2.  M must be even and
-    >= 2, as every progression modulus 2 * prod p_i is."""
+    >= 2, as every progression modulus 2 * prod p_i is, and the residues
+    odd, in (0, M) and distinct, as CdlProgression's are: an even class is
+    no progression of odd numbers, and a repeated one would be paired with
+    itself.  Raises ValueError otherwise, the modulus checked first."""
     progs = list(progressions)
     if not progs:
         return (0, 0)
     m = progs[0][1]
     if m < 2 or m % 2:
         raise ValueError(f"progression modulus must be even and >= 2, got {m}")
-    for _, mm in progs:
+    seen = set()
+    for a, mm in progs:
         if mm != m:
             raise ValueError(f"mixed moduli: {mm} != {m}")
+        if a % 2 == 0 or not 0 < a < m:
+            raise ValueError(f"residue must be odd and lie in (0, {m}), got {a}")
+        if a in seen:
+            raise ValueError(f"residue {a} mod {m} is repeated")
+        seen.add(a)
     hits = sum(math.gcd(m, a - b) == 2 for (a, _), (b, _) in combinations(progs, 2))
     return (math.comb(len(progs), 2), hits)

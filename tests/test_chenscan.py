@@ -6,6 +6,7 @@ import random
 import pytest
 
 from conftest import M48, RESIDUES_48, kernel_cases
+from p2k import chenscan
 from p2k.chenscan import (
     _N,
     ModulusVerdict,
@@ -182,6 +183,24 @@ def test_prime_that_cannot_help_keeps_every_lift():
     v = check_even_modulus(11 * M48)
     assert not v.covered and v.shifts_used == 120
     assert list(v.leftover) == sorted(a + M48 * t for a in RESIDUES_48 for t in range(11))
+
+
+@pytest.mark.parametrize("b", [M48, 3 * M48, 4 * M48, 11 * M48])
+def test_leftover_is_counted_exactly_before_it_is_listed(monkeypatch, b):
+    # 11 * M48's walk leaves 11 open with barred classes in some families
+    n = len(check_even_modulus(b).leftover)
+    monkeypatch.setattr(chenscan, "_LEFTOVER_LIMIT", n)
+    assert len(check_even_modulus(b).leftover) == n
+    monkeypatch.setattr(chenscan, "_LEFTOVER_LIMIT", n - 1)
+    with pytest.raises(ValueError, match=f"b = {b} leaves {n} odd residues"):
+        check_even_modulus(b)
+
+
+def test_huge_leftover_is_refused_before_it_is_listed():
+    # 11184810 * 2^22 leaves 48 * 2^22 residues, some 8 GB as Python ints
+    b = M48 << 22
+    with pytest.raises(ValueError, match=f"b = {b} leaves {48 << 22} odd residues"):
+        check_even_modulus(b)
 
 
 def test_scan_tiny_ranges():

@@ -224,6 +224,19 @@ def test_progression_census_rejects_bad_modulus(capsys, modulus):
     assert err.startswith("error:")
 
 
+@pytest.mark.parametrize(
+    "residues, modulus, message",
+    [("2,4", "6", "odd"), ("1,7", "6", "(0, 6)"), ("1,1", "4", "repeated")],
+)
+def test_progression_census_rejects_bad_residues(capsys, residues, modulus, message):
+    code, out, err = run_cli(
+        capsys, "progression", "census", "--residues", residues, "--modulus", modulus,
+    )
+    assert (code, out) == (1, "")
+    assert err.startswith("error:") and message in err
+    assert len(err.splitlines()) == 1
+
+
 @pytest.mark.parametrize("extra", [("--residues", "1,3", "--modulus", "8"), ("--residues", "1,3")])
 def test_progression_census_rejects_D_with_residues(capsys, extra):
     code, out, err = run_cli(capsys, "progression", "census", "--D", "24", *extra)
@@ -366,6 +379,13 @@ def test_chen_check_json(capsys):
     assert payload["covered"] is False
     assert payload["m"] == 24
     assert payload["leftover"] == sorted(RESIDUES_48)
+
+
+def test_chen_check_with_too_many_leftovers_is_domain_error(capsys):
+    code, out, err = run_cli(capsys, "chen", "check", "--b", str(11184810 << 22))
+    assert (code, out) == (1, "")
+    assert err.startswith("error:") and "201326592 odd residues" in err
+    assert len(err.splitlines()) == 1
 
 
 def test_chen_scan_json(capsys):

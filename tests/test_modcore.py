@@ -10,6 +10,7 @@ from hypothesis import strategies as st
 from conftest import kernel_cases
 from mersenne_table import MERSENNE_FACTORS
 from p2k import modcore
+from p2k.chenscan import check_even_modulus
 from p2k.modcore import (
     _RHO_STEPS,
     CongruenceCondition,
@@ -325,6 +326,28 @@ def test_class_cover_search_on_any_ring_size():
         barred = [rng.getrandbits(d) & rng.getrandbits(d) for d in moduli]
         _check_class_cover_search(moduli, T, target, barred)
         _check_class_cover_search(moduli, T, (1 << T) - 1, [0] * len(moduli))
+
+
+def test_counting_screen_runs_before_any_mask(monkeypatch):
+    # classes with fewer positions in total than the walk must cover are
+    # refused on entry, before any period mask or the target is built: the
+    # covered verdict's full walk over Z/T builds nothing T bits wide
+    widths = []
+    real = modcore.period_mask
+
+    def recording(d, T):
+        widths.append(T)
+        return real(d, T)
+
+    monkeypatch.setattr(modcore, "period_mask", recording)
+    assert list(class_cover_search([3, 5, 7], 105)) == []
+    assert list(class_cover_search([2], 4, target=0b111)) == []
+    assert widths == []
+    verdict = check_even_modulus(16353786)
+    assert verdict.covered and verdict.shifts_used == 6
+    assert 1_337_076 not in widths
+    # an empty target needs no room
+    assert len(list(class_cover_search([3], 10, target=0))) == 1
 
 
 def _check_class_cover_search(moduli, T, target, start_barred):

@@ -300,3 +300,19 @@ def test_census_rejects_mixed_moduli():
 def test_census_rejects_modulus_that_is_not_even_and_positive(modulus):
     with pytest.raises(ValueError, match="even and >= 2"):
         pair_gcd_census([(1, modulus), (3, modulus)])
+
+
+@pytest.mark.parametrize(
+    "progs, message",
+    [
+        ([(2, 6), (4, 6)], "odd"),
+        ([(1, 6), (3, 6), (6, 6)], "odd"),
+        ([(-1, 6), (1, 6)], r"\(0, 6\)"),
+        ([(1, 6), (7, 6)], r"\(0, 6\)"),
+        ([(1, 4), (1, 4)], "1 mod 4 is repeated"),
+        ([(M48 - 1, M48), (1, M48), (M48 - 1, M48)], "repeated"),
+    ],
+)
+def test_census_rejects_even_unreduced_or_repeated_residues(progs, message):
+    with pytest.raises(ValueError, match=message):
+        pair_gcd_census(progs)
