@@ -257,6 +257,10 @@ def _sieved_blocks(start: int, stop: int):
         yield lo, bounds
 
 
+# The largest b_hi scan_range takes: past it the sieve primes pass 10^8.
+_SCAN_LIMIT = 10**16
+
+
 def scan_range(b_lo: int, b_hi: int) -> ScanReport:
     """Uncovered verdicts for every even b >= 2 in [b_lo, b_hi].
 
@@ -270,11 +274,23 @@ def scan_range(b_lo: int, b_hi: int) -> ScanReport:
     Memory grows with the range only through that memo, one small tuple
     per distinct multiset (32,416 over the even b in [2, 11184810], the
     ones that fail the screen included).
+
+    The sieve lists every prime up to isqrt(b_hi), however narrow the
+    window, so b_hi above _SCAN_LIMIT (10^16, where those primes pass
+    10^8) raises ValueError before any sieving; check_even_modulus
+    decides a single larger b.  A 21-wide window ending at 10^14, 10^15
+    and 10^16 takes 0.35 s and 67 MB, 1.2 s and 147 MB, and 5.7 s and
+    375 MB peak memory (2-core Xeon, Python 3.11).
     """
     start = max(2, b_lo + b_lo % 2)
     stop = b_hi - b_hi % 2
     if start > stop:
         raise ValueError(f"no even b >= 2 in [{b_lo}, {b_hi}]")
+    if b_hi > _SCAN_LIMIT:
+        raise ValueError(
+            f"scan_range takes b up to {_SCAN_LIMIT}, got {b_hi}; "
+            "check a single b with check_even_modulus (p2k chen check)"
+        )
     t0 = time.monotonic()
     covers: dict[tuple[int, ...], bool] = {}
     uncovered: list[ModulusVerdict] = []

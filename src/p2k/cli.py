@@ -1,12 +1,16 @@
 """Command-line entry point: p2k <group> <command> [flags].
 
 Groups mirror the library: cover (enumerate/verify), progression
-(derive/verify/census), chen (check/scan), density.  Results go to stdout
-in the selected format, in one write; a result type writes its own
-formats (to_json, to_table, ...), and only commands that combine several
-results format here.  Notes and errors go to stderr only.  Exit codes:
-0 success, 1 domain error, 2 usage error.  A reader that closes stdout
-early, as `| head -1` does, ends the output there: exit code 0, no error.
+(derive/verify/census), chen (check/scan), density.  Each command returns
+its result, and dispatch alone writes it.  A command with a result type
+returns the object (EnumerationReport, CdlProgression, ModulusVerdict,
+ScanReport, BoundResult), which writes its own formats (to_json,
+to_table, ...); cover verify, progression verify and census combine
+several results and return their text.  dispatch picks to_<format>(),
+adds the newline and makes the one write to stdout.  Notes and errors go
+to stderr only.  Exit codes: 0 success, 1 domain error or out of memory,
+2 usage error.  A reader that closes stdout early, as `| head -1` does,
+ends the output there: exit code 0, no error.
 """
 
 from __future__ import annotations
@@ -40,27 +44,15 @@ def _parse_ints(text: str) -> list[int]:
     return [int(x) for x in items]
 
 
-def _emit(text: str):
-    # one write: with unbuffered stdout a reader that closes the pipe at
-    # its first match could otherwise land between text and its newline
-    sys.stdout.write(text if text.endswith("\n") else text + "\n")
-
-
-def _enumerate(D: int) -> covering.EnumerationReport:
-    """enumerate_cdl_systems(D), with a skipped D's reason noted on stderr."""
-    report = covering.enumerate_cdl_systems(D)
+def _enumerate(args) -> covering.EnumerationReport:
+    """enumerate_cdl_systems(args.D), with a skipped D's reason noted on stderr."""
+    report = covering.enumerate_cdl_systems(args.D)
     if report.skip_reason:
-        print(f"note: D={D} skipped ({report.skip_reason})", file=sys.stderr)
+        print(f"note: D={args.D} skipped ({report.skip_reason})", file=sys.stderr)
     return report
 
 
-def _cmd_cover_enumerate(args) -> int:
-    report = _enumerate(args.D)
-    _emit(getattr(report, f"to_{args.format}")())
-    return 0
-
-
-def _cmd_cover_verify(args) -> int:
+def _cover_verify(args) -> str:
     system = _parse_classes(args.classes)
     assignments = covering.find_prime_assignments(system.moduli)
     result = {
@@ -72,13 +64,11 @@ def _cmd_cover_verify(args) -> int:
         "assignments": [[[d, p] for d, p in a.pairs] for a in assignments],
     }
     if args.format == "json":
-        _emit(json.dumps(result, indent=2))
-    else:
-        _emit(
-            f"covering={result['covering']} minimal={result['minimal']} "
-            f"cdl={result['cdl']} assignments={len(assignments)}"
-        )
-    return 0
+        return json.dumps(result, indent=2)
+    return (
+        f"covering={result['covering']} minimal={result['minimal']} "
+        f"cdl={result['cdl']} assignments={len(assignments)}"
+    )
 
 
 def _derive(args) -> progressions.CdlProgression:
@@ -103,57 +93,36 @@ def _derive(args) -> progressions.CdlProgression:
     return progressions.derive_progression(system, asg)
 
 
-def _cmd_progression_derive(args) -> int:
-    prog = _derive(args)
-    _emit(getattr(prog, f"to_{args.format}")())
-    return 0
-
-
-def _cmd_progression_verify(args) -> int:
+def _progression_verify(args) -> str:
     prog = _derive(args)
     if args.a is not None and prog.residue != args.a:
         raise ValueError(f"derived residue {prog.residue}, expected {args.a}")
     cert = progressions.verify_excludes_primes(prog)
     certified = progressions.membership_in_U_is_certified(prog)
     if args.format == "json":
-        _emit(json.dumps({**cert.to_dict(), "membership_certified": certified}, indent=2))
-    else:
-        _emit(
-            f"a={prog.residue} M={prog.modulus} exclusion={cert.verdict} "
-            f"membership_certified={certified}"
-        )
-    return 0
+        return json.dumps({**cert.to_dict(), "membership_certified": certified}, indent=2)
+    return (
+        f"a={prog.residue} M={prog.modulus} exclusion={cert.verdict} "
+        f"membership_certified={certified}"
+    )
 
 
-def _cmd_progression_census(args) -> int:
+def _census(args) -> str:
     if args.D is not None:
         if args.residues is not None or args.modulus is not None:
             raise ValueError("census takes either --D or --residues with --modulus, not both")
-        pairs = sorted(set(_enumerate(args.D).progressions))
+        pairs = sorted(set(_enumerate(args).progressions))
     else:
         if not args.residues or args.modulus is None:
             raise ValueError("census needs either --D or --residues with --modulus")
         pairs = [(a, args.modulus) for a in _parse_ints(args.residues)]
     total, hits = progressions.pair_gcd_census(pairs)
     if args.format == "json":
-        _emit(json.dumps({"progressions": len(pairs), "pairs": total, "gcd_2": hits}))
-    else:
-        _emit(f"{len(pairs)} progressions, {total} pairs, {hits} with gcd 2")
-    return 0
+        return json.dumps({"progressions": len(pairs), "pairs": total, "gcd_2": hits})
+    return f"{len(pairs)} progressions, {total} pairs, {hits} with gcd 2"
 
 
-def _cmd_chen_check(args) -> int:
-    _emit(getattr(chenscan.check_even_modulus(args.b), f"to_{args.format}")())
-    return 0
-
-
-def _cmd_chen_scan(args) -> int:
-    report = chenscan.scan_range(args.from_b, args.to_b)
-    _emit(getattr(report, f"to_{args.format}")())
-    return 0
-
-
-def _cmd_density(args) -> int:
+def _density(args) -> density.BoundResult:
     primes = _parse_ints(args.primes)
     partition = None
     if args.partition:
@@ -169,8 +138,7 @@ def _cmd_density(args) -> int:
         if oracle.counts != result.histogram.counts:
             raise AssertionError("cluster pipeline disagrees with brute-force oracle")
         print(f"oracle cross-check passed for M={M}", file=sys.stderr)
-    _emit(getattr(result, f"to_{args.format}")())
-    return 0
+    return result
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -185,11 +153,11 @@ def build_parser() -> argparse.ArgumentParser:
     enum_p = cover_sub.add_parser("enumerate", help="all minimal CDL systems with lcm D")
     enum_p.add_argument("--D", type=int, required=True)
     enum_p.add_argument("--format", choices=("json", "csv", "table"), default="table")
-    enum_p.set_defaults(func=_cmd_cover_enumerate)
+    enum_p.set_defaults(func=_enumerate)
     verify_p = cover_sub.add_parser("verify", help="check covering/minimal/CDL")
     verify_p.add_argument("--classes", required=True, help="a:d,a:d,...")
     verify_p.add_argument("--format", choices=("json", "table"), default="table")
-    verify_p.set_defaults(func=_cmd_cover_verify)
+    verify_p.set_defaults(func=_cover_verify)
 
     prog = sub.add_parser("progression", help="CDL progression operations")
     prog_sub = prog.add_subparsers(dest="command", required=True)
@@ -198,32 +166,32 @@ def build_parser() -> argparse.ArgumentParser:
     derive_p.add_argument("--primes", help="comma list matching the moduli order")
     derive_p.add_argument("--match-modulus", type=int, dest="match_modulus")
     derive_p.add_argument("--format", choices=("json", "table"), default="table")
-    derive_p.set_defaults(func=_cmd_progression_derive)
+    derive_p.set_defaults(func=_derive)
     pverify_p = prog_sub.add_parser("verify", help="exclusion + membership certificate")
     pverify_p.add_argument("--classes", required=True)
     pverify_p.add_argument("--primes")
     pverify_p.add_argument("--match-modulus", type=int, dest="match_modulus")
     pverify_p.add_argument("--a", type=int, help="expected residue (checked)")
     pverify_p.add_argument("--format", choices=("json", "table"), default="table")
-    pverify_p.set_defaults(func=_cmd_progression_verify)
+    pverify_p.set_defaults(func=_progression_verify)
     census_p = prog_sub.add_parser("census", help="pairwise gcd census")
     census_p.add_argument("--D", type=int, help="census the progressions for this D")
     census_p.add_argument("--residues", help="comma list of distinct odd residues in (0, modulus)")
     census_p.add_argument("--modulus", type=int)
     census_p.add_argument("--format", choices=("json", "table"), default="table")
-    census_p.set_defaults(func=_cmd_progression_census)
+    census_p.set_defaults(func=_census)
 
     chen = sub.add_parser("chen", help="odd-class sieve for even moduli")
     chen_sub = chen.add_subparsers(dest="command", required=True)
     check_p = chen_sub.add_parser("check", help="single modulus verdict")
     check_p.add_argument("--b", type=int, required=True)
     check_p.add_argument("--format", choices=("json", "table"), default="json")
-    check_p.set_defaults(func=_cmd_chen_check)
+    check_p.set_defaults(func=lambda args: chenscan.check_even_modulus(args.b))
     scan_p = chen_sub.add_parser("scan", help="scan a range of even moduli")
     scan_p.add_argument("--from", type=int, required=True, dest="from_b")
     scan_p.add_argument("--to", type=int, required=True, dest="to_b")
     scan_p.add_argument("--format", choices=("json", "table"), default="table")
-    scan_p.set_defaults(func=_cmd_chen_scan)
+    scan_p.set_defaults(func=lambda args: chenscan.scan_range(args.from_b, args.to_b))
 
     dens = sub.add_parser("density", help="certified upper bound on the density")
     dens.add_argument("--primes", required=True, help="comma list of odd primes")
@@ -232,7 +200,7 @@ def build_parser() -> argparse.ArgumentParser:
     dens.add_argument(
         "--emit", choices=("json", "csv", "table"), default="table", dest="format"
     )
-    dens.set_defaults(func=_cmd_density)
+    dens.set_defaults(func=_density)
 
     return parser
 
@@ -249,15 +217,22 @@ def dispatch(argv=None) -> int:
     except SystemExit as exc:
         return exc.code if isinstance(exc.code, int) else 2
     try:
-        code = args.func(args)
+        result = args.func(args)
+        text = result if isinstance(result, str) else getattr(result, f"to_{args.format}")()
+        # one write: with unbuffered stdout a reader that closes the pipe at
+        # its first match could otherwise land between text and its newline
+        sys.stdout.write(text if text.endswith("\n") else text + "\n")
         sys.stdout.flush()  # so a reader that left shows here, not at exit
-        return code
+        return 0
     except BrokenPipeError:
         # the reader left early, as `| head -1` does: the output ends there,
         # which is no error.  stdout goes to devnull so the flush at exit
         # does not meet the closed pipe again.
         os.dup2(os.open(os.devnull, os.O_WRONLY), sys.stdout.fileno())
         return 0
+    except MemoryError:
+        print("error: out of memory; try a smaller input", file=sys.stderr)
+        return 1
     except (ValueError, AssertionError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 1

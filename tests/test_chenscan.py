@@ -217,6 +217,23 @@ def test_scan_without_even_modulus_is_an_error(lo, hi):
         scan_range(lo, hi)
 
 
+def test_scan_above_its_limit_is_refused_before_any_sieving(monkeypatch):
+    # a window near 10^18 would list every prime below 10^9 for its sieve
+    sieved = []
+    monkeypatch.setattr(chenscan, "primes_up_to", lambda n: sieved.append(n) or [])
+    lo = 10**18
+    with pytest.raises(ValueError, match=f"b up to {10**16}, got {lo + 10}; .* chen check"):
+        scan_range(lo, lo + 10)
+    assert sieved == []
+
+
+def test_scan_at_its_limit_is_accepted(monkeypatch):
+    # the sieve itself (about 6 s and 0.4 GB at 10^16) is left out
+    monkeypatch.setattr(chenscan, "_sieved_blocks", lambda start, stop: iter(()))
+    report = scan_range(10**16 - 20, 10**16)
+    assert (report.b_lo, report.b_hi, report.uncovered_moduli) == (10**16 - 20, 10**16, [])
+
+
 def test_scan_finds_uncovered_when_present():
     report = scan_range(M48, M48)
     assert len(report.uncovered_moduli) == 1

@@ -1,3 +1,4 @@
+import argparse
 import json
 import os
 import re
@@ -10,7 +11,7 @@ import pytest
 import p2k
 from conftest import RESIDUES_48
 from p2k import density
-from p2k.cli import dispatch
+from p2k.cli import build_parser, dispatch
 from p2k.covering import enumerate_cdl_systems
 from p2k.density import DeltaHistogram, run_estimate
 
@@ -156,6 +157,62 @@ def test_progression_verify(capsys):
     assert payload["verdict"] is True
     assert payload["membership_certified"] is True
     assert payload["k_period"] == 24
+
+
+def _leaf_parsers(parser, path=()):
+    """(command path, parser) for every command the parser tree ends in."""
+    for action in parser._actions:
+        if isinstance(action, argparse._SubParsersAction):
+            for name, child in action.choices.items():
+                yield from _leaf_parsers(child, (*path, name))
+            return
+    yield path, parser
+
+
+# arguments that make each command cheap to run
+_CHEAP_ARGS = {
+    ("cover", "enumerate"): ["--D", "24"],
+    ("cover", "verify"): ["--classes", "0:2,0:3,1:4,3:8,7:12,23:24"],
+    ("progression", "derive"): ["--classes", "0:2,0:3,1:4,3:8,7:12,23:24"],
+    ("progression", "verify"): ["--classes", "0:2,0:3,1:4,3:8,7:12,23:24"],
+    ("progression", "census"): ["--residues", "1,5", "--modulus", "6"],
+    ("chen", "check"): ["--b", "30"],
+    ("chen", "scan"): ["--from", "2", "--to", "100"],
+    ("density",): ["--primes", "3,5,7"],
+}
+
+
+def _format_cases():
+    for path, leaf in _leaf_parsers(build_parser()):
+        (option,) = [a for a in leaf._actions if a.dest == "format"]
+        for choice in option.choices:
+            yield [*path, *_CHEAP_ARGS.get(path, []), option.option_strings[0], choice]
+
+
+def test_every_command_has_cheap_arguments():
+    assert {path for path, _ in _leaf_parsers(build_parser())} == set(_CHEAP_ARGS)
+
+
+class _Writes:
+    def __init__(self):
+        self.writes = []
+
+    def write(self, text):
+        self.writes.append(text)
+        return len(text)
+
+    def flush(self):
+        pass
+
+
+@pytest.mark.parametrize("argv", list(_format_cases()), ids=" ".join)
+def test_every_format_is_one_write_with_one_newline(argv, monkeypatch):
+    # a format choice with no writer behind it would end in AttributeError
+    stdout = _Writes()
+    monkeypatch.setattr(sys, "stdout", stdout)
+    assert dispatch(argv) == 0
+    (text,) = stdout.writes
+    assert text.endswith("\n") and not text.endswith("\n\n")
 
 
 def test_reader_closing_at_its_match_gets_no_broken_pipe():
@@ -414,6 +471,27 @@ def test_chen_scan_empty_range_is_domain_error(capsys):
     assert code == 1
     assert out == ""
     assert "no even b" in err
+
+
+def test_chen_scan_above_its_limit_is_domain_error(capsys):
+    code, out, err = run_cli(
+        capsys, "chen", "scan", "--from", str(10**18), "--to", str(10**18 + 10)
+    )
+    assert (code, out) == (1, "")
+    assert err.startswith("error: scan_range takes b up to") and "chen check" in err
+    assert len(err.splitlines()) == 1
+
+
+def test_out_of_memory_is_domain_error(capsys, monkeypatch):
+    # a stand-in for an allocation too large to make, such as the 62.5 GB
+    # row of --primes 1000000000039
+    def exhausted(primes, partition=None):
+        raise MemoryError
+
+    monkeypatch.setattr(density, "run_estimate", exhausted)
+    code, out, err = run_cli(capsys, "density", "--primes", "3,5,7")
+    assert (code, out) == (1, "")
+    assert err.startswith("error: out of memory") and len(err.splitlines()) == 1
 
 
 def test_density_json_round_trip(capsys):

@@ -130,6 +130,14 @@ CLI_HASHES = {
         "bd556d346a879791f01523affeab20b961fa66bdeff2b235cd688a84a3efa18a",
     ("progression", "verify", "--classes", ERDOS_CLASSES, "--format", "table"):
         "db4855f436e466bb54f25949c65b78cb66abc99959cfc5e97d528cba373f930d",
+    ("cover", "verify", "--classes", ERDOS_CLASSES, "--format", "json"):
+        "7b13ff5ddb54b0df8736ea067cca3c36b5d1c9e102311364392ea5a645ea979d",
+    ("cover", "verify", "--classes", ERDOS_CLASSES, "--format", "table"):
+        "68653bbd79efab8affb75c679b0a66b0fdb0dac6c7e983eae86269f2e4a59b56",
+    ("progression", "census", "--D", "24", "--format", "json"):
+        "268971c6a14e2039ab8bea16137dbef7aaa8dd39dd777e60106de2a6758f82fd",
+    ("progression", "census", "--D", "24", "--format", "table"):
+        "67470198a65c8308405d3012343861f4889d42aea6f63d11fe9f252f835b95cc",
 }
 
 
