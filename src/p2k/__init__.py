@@ -1,51 +1,18 @@
 """Numbers of the form p + 2^k: covering systems, exceptional arithmetic
 progressions, sieve verification for small moduli, and certified upper
-bounds on the density of representable integers."""
+bounds on the density of representable integers.
 
-from .modcore import (
-    CongruenceCondition,
-    euler_phi,
-    factorize,
-    mersenne_prime_divisors,
-    ord2,
-    primitive_mersenne_divisors,
-)
-from .covering import (
-    CoveringSystem,
-    EnumerationReport,
-    PrimeAssignment,
-    double_cover,
-    enumerate_cdl_systems,
-    find_prime_assignments,
-    is_covering,
-    is_minimal,
-)
-from .progressions import (
-    CdlProgression,
-    ExclusionCertificate,
-    derive_progression,
-    membership_in_U_is_certified,
-    pair_gcd_census,
-    verify_excludes_primes,
-)
-from .chenscan import (
-    ModulusVerdict,
-    ScanReport,
-    check_even_modulus,
-    find_witness,
-    scan_range,
-)
-from .density import (
-    BoundResult,
-    Cluster,
-    DeltaHistogram,
-    augment,
-    brute_force_delta,
-    cross_histogram,
-    evaluate_bound,
-    merge,
-    prime_cluster,
-    run_estimate,
-)
+The modules are the API; import the one you need, as in
+`from p2k import chenscan`.  `import p2k` alone loads none of them.
+
+- `covering`: covering systems, minimality, CDL enumeration.
+- `progressions`: derived progressions, exclusion certificates, census.
+- `chenscan`: even-modulus verdicts, range scans, witnesses.
+- `density`: certified density bounds (the only module that loads numpy).
+- `modcore`: the arithmetic they share (orders of 2, factorization, the
+  class-cover search).
+- `cli`: the `p2k` command line.
+- `catalog`: the published fixtures.
+"""
 
 __version__ = "0.1.0"

@@ -10,7 +10,9 @@ several results and return their text.  dispatch picks to_<format>(),
 adds the newline and makes the one write to stdout.  Notes and errors go
 to stderr only.  Exit codes: 0 success, 1 domain error or out of memory,
 2 usage error.  A reader that closes stdout early, as `| head -1` does,
-ends the output there: exit code 0, no error.
+ends the output there: exit code 0, no error.  The density module, and
+numpy with it, loads only for `p2k density`; the cover, progression and
+chen commands start without numpy.
 """
 
 from __future__ import annotations
@@ -21,7 +23,7 @@ import os
 import sys
 from functools import cache
 
-from . import chenscan, covering, density, progressions
+from . import chenscan, covering, progressions
 
 
 def _parse_classes(text: str) -> covering.CoveringSystem:
@@ -122,7 +124,10 @@ def _census(args) -> str:
     return f"{len(pairs)} progressions, {total} pairs, {hits} with gcd 2"
 
 
-def _density(args) -> density.BoundResult:
+def _density(args):
+    """The BoundResult of run_estimate on --primes, split by --partition."""
+    from . import density  # here, not at the top: only this command needs numpy
+
     primes = _parse_ints(args.primes)
     partition = None
     if args.partition:

@@ -16,6 +16,7 @@ from p2k.chenscan import (
     find_witness,
     scan_range,
 )
+from p2k.covering import enumerate_cdl_systems
 from p2k.modcore import _ord2_prime, class_cover_search, factorize, ord2, primes_up_to
 
 
@@ -342,6 +343,53 @@ def test_window_around_twice_the_top_modulus():
     expected = [check_even_modulus(top)]
     assert scan_range(top - 2000, top + 2000).uncovered_moduli == expected
     assert _reference_scan(top - 2000, top + 2000) == expected
+
+
+# per progression modulus M of D: (distinct progression residues mod M,
+# odd residues the Chen sieve leaves mod M)
+_CDL_MODULI = {
+    24: {M48: (48, 48)},
+    36: {140100870: (144, 144)},  # 37 is D = 36's order-36 prime
+    48: {1084926570: (96, 4656), 1156954890: (96, 96)},
+}
+
+
+@pytest.mark.parametrize("D", sorted(_CDL_MODULI))
+def test_chen_leftover_holds_every_cdl_progression(D):
+    # cross-pipeline oracle: a CDL progression mod M avoids every p + 2^k,
+    # so the sieve must leave M uncovered with each of its residues left
+    by_modulus = {}
+    for a, M in enumerate_cdl_systems(D).progressions:
+        by_modulus.setdefault(M, set()).add(a)
+    sizes = {}
+    for M, residues in by_modulus.items():
+        verdict = check_even_modulus(M)
+        assert not verdict.covered, M
+        assert residues <= set(verdict.leftover), M
+        sizes[M] = (len(residues), len(verdict.leftover))
+    assert sizes == _CDL_MODULI[D]
+
+
+@pytest.mark.parametrize("b", [209191710, 803736570])
+def test_uncovered_with_both_order_36_primes(b):
+    # past 11184810: b holds 37 and 109, the two primes of order 36, and a
+    # CDL system gives each modulus one prime, so none reaches b
+    assert {37, 109} <= {q for q, _ in factorize(b)} and ord2(37) == ord2(109) == 36
+    verdict = check_even_modulus(b)
+    assert (verdict.covered, verdict.shifts_used, len(verdict.leftover)) == (False, 36, 144)
+    # 2^k mod b for k = 1..36 is every shift: b = 2 * odd with ord_2(odd) = 36
+    shifts = [pow(2, k, b) for k in range(1, 37)]
+    for j in verdict.leftover:
+        assert all(math.gcd(j - s, b) > 1 for s in shifts), j
+    left = set(verdict.leftover)
+    others = [j for j in random.Random(b).sample(range(1, b, 2), 1000) if j not in left]
+    for j in others:
+        assert any(math.gcd(j - s, b) == 1 for s in shifts), j
+
+
+def test_window_around_the_d36_modulus():
+    top = 140100870
+    assert scan_range(top - 2000, top + 2000).uncovered_moduli == [check_even_modulus(top)]
 
 
 def test_verdict_json_round_trip(big_modulus_verdict):

@@ -43,6 +43,35 @@ def test_parser_keeps_no_state_between_calls(capsys):
         assert (fresh.returncode, fresh.stdout, fresh.stderr) == result, argv
 
 
+def test_chen_and_cover_commands_load_no_numpy():
+    # pytest has numpy loaded already, so a fresh interpreter runs the check
+    script = """
+import contextlib, io, json, sys
+import p2k
+loaded = sorted(m for m in sys.modules if m.startswith("p2k."))
+from p2k import chenscan, cli, covering, progressions
+argvs = [
+    ["chen", "check", "--b", "11184810"],
+    ["cover", "enumerate", "--D", "24", "--format", "csv"],
+    ["progression", "census", "--D", "24"],
+]
+with contextlib.redirect_stdout(io.StringIO()):
+    codes = [cli.dispatch(argv) for argv in argvs]
+numpy_before = "numpy" in sys.modules
+with contextlib.redirect_stdout(io.StringIO()):
+    codes.append(cli.dispatch(["density", "--primes", "3,5,7"]))
+print(json.dumps([loaded, codes, numpy_before, "numpy" in sys.modules]))
+"""
+    env = dict(os.environ)
+    src = str(Path(p2k.__file__).resolve().parents[1])
+    env["PYTHONPATH"] = os.pathsep.join(filter(None, [src, env.get("PYTHONPATH")]))
+    fresh = subprocess.run(
+        [sys.executable, "-c", script], capture_output=True, text=True, env=env, timeout=60
+    )
+    assert (fresh.returncode, fresh.stderr) == (0, "")
+    assert json.loads(fresh.stdout) == [[], [0, 0, 0, 0], False, True]
+
+
 def test_unknown_subcommand_is_usage_error(capsys):
     code, _, _ = run_cli(capsys, "frobnicate")
     assert code == 2
