@@ -72,18 +72,20 @@ max order / g and are summed in uint16 (< 2^16); dot products are at most
 lcm(orders) and are formed in float32 from nonnegative integer terms, so
 every partial sum is an exact integer (< 2^24); the weights one orbit
 profile meets are summed in float64 and total at most the other side's
-modulus part (< 2^52).  cross_histogram alone chooses: the numpy engine
-runs when the pair fits all three windows, the joint-orbit loop would walk
-at least 2^12 joint orbits and both sides pass the invariance check.
-Every other pair takes the joint-orbit loop in Python ints, which is also
-the reference the numpy engine is tested against.
+modulus part (< 2^52).  cross_histogram alone chooses, from sizes the
+halves already hold: an orbit pair gives gcd(p_a, p_b) joint orbits, at
+least 1 and at most g, so |orbits of a| * |orbits of b| * g bounds the
+joint-orbit loop's work from above without computing a period.  The numpy
+engine runs when the pair fits all three windows, that bound is at least
+2^13 and both sides pass the invariance check.  Every other pair takes the
+joint-orbit loop in Python ints, which is also the reference the numpy
+engine is tested against.
 """
 
 from __future__ import annotations
 
 import json
 import math
-from collections import Counter
 from dataclasses import dataclass, replace
 from fractions import Fraction
 from functools import cached_property, reduce
@@ -99,10 +101,11 @@ _F64_EXACT_LIMIT = 1 << 52
 _U16_EXACT_LIMIT = 1 << 16
 _F32_EXACT_LIMIT = 1 << 24
 # the numpy cross's fixed cost (about 0.2 ms) outweighs the joint-orbit
-# loop below this many joint orbits: timed on the published fixtures and 130
-# random splits (2-core Xeon, numpy 2.4), the loop won every split under 600
-# and lost most above 10,000
-_NUMPY_MIN_JOINT_ORBITS = 1 << 12
+# loop below this bound on its joint orbits, |orbits| * |orbits| * g: every
+# published fixture stays under it (at most 4,560) and takes the loop; over
+# 300 seeded random splits (2-core Xeon, numpy 2.4) rule plus engine took
+# 0.66 s, against 0.97 s when the rule counted joint orbits exactly (2^12)
+_NUMPY_MIN_JOINT_ORBIT_BOUND = 1 << 13
 # the oracle's narrow counter (see brute_force_delta)
 _U8_EXACT_LIMIT = 1 << 8
 
@@ -198,9 +201,6 @@ class Cluster:
                 )
         if (total := sum(self.orbits.values())) != self.modulus_part:
             raise ValueError(f"weights sum to {total}, expected {self.modulus_part}")
-
-    def row_count(self) -> int:
-        return sum(self.periods.values())
 
 
 TRIVIAL_CLUSTER = Cluster(modulus_part=1, order=1, orbits={1: 1})
@@ -501,28 +501,18 @@ def _fits_numpy_windows(a: Cluster, b: Cluster) -> bool:
     )
 
 
-def _joint_orbit_count(a: Cluster, b: Cluster) -> int:
-    """Joint rotation orbits the pure cross walks: gcd(p_a, p_b) summed
-    over every orbit pair, taken over the pairs of distinct periods."""
-    periods_a = Counter(a.periods.values())
-    periods_b = Counter(b.periods.values())
-    return sum(
-        n_a * n_b * math.gcd(p_a, p_b)
-        for p_a, n_a in periods_a.items()
-        for p_b, n_b in periods_b.items()
-    )
-
-
 def cross_histogram(a: Cluster, b: Cluster) -> DeltaHistogram:
     """Histogram of the merged cluster without materializing it: for every
     row pair, mult_a * mult_b is accumulated at nu = popcount of the
     intersection.  Exact, and the one place an engine is chosen: numpy when
-    the pair fits its three exactness windows, the joint-orbit loop would
-    walk at least _NUMPY_MIN_JOINT_ORBITS joint orbits and both sides fold
-    (_cross_arrangement), the joint-orbit loop otherwise."""
+    the pair fits its three exactness windows, the joint-orbit loop's size
+    bound len(a.orbits) * len(b.orbits) * gcd(a.order, b.order) is at least
+    _NUMPY_MIN_JOINT_ORBIT_BOUND and both sides fold (_cross_arrangement),
+    the joint-orbit loop otherwise.  No period is computed to choose."""
     _check_coprime(a, b)
     arrangement = None
-    if _fits_numpy_windows(a, b) and _joint_orbit_count(a, b) >= _NUMPY_MIN_JOINT_ORBITS:
+    bound = len(a.orbits) * len(b.orbits) * math.gcd(a.order, b.order)
+    if _fits_numpy_windows(a, b) and bound >= _NUMPY_MIN_JOINT_ORBIT_BOUND:
         arrangement = _cross_arrangement(a, b)
     if arrangement is None:
         counts = _cross_histogram_pure(a, b)

@@ -38,7 +38,6 @@ from p2k.density import (
     _cross_histogram_pure,
     _fits_numpy_windows,
     _half_cluster,
-    _joint_orbit_count,
     _joint_orbits,
     _period,
     _profile_orbits,
@@ -274,7 +273,6 @@ def test_density_11_halves_expand_to_the_traced_row_counts():
     left, right = balance_partition((3, 5, 7, 11, 13, 17, 19, 31, 41, 73, 241))
     a, b = _half_cluster(left), _half_cluster(right)
     assert (len(a.orbits), len(b.orbits)) == (379, 757)
-    assert (a.row_count(), b.row_count()) == (37016, 106093)
     assert (len(a.rows), len(b.rows)) == (37016, 106093)
     assert sum(a.rows.values()) == a.modulus_part
     assert sum(b.rows.values()) == b.modulus_part
@@ -335,7 +333,7 @@ def test_rotation_closed_but_not_affine_invariant_falls_back(monkeypatch, engine
     # affine invariant; the modulus parts only label the masses.  With the
     # size rule admitting every pair, each one still takes the joint-orbit
     # loop, since some side does not fold
-    monkeypatch.setattr(density, "_NUMPY_MIN_JOINT_ORBITS", 0)
+    monkeypatch.setattr(density, "_NUMPY_MIN_JOINT_ORBIT_BOUND", 0)
     c = Cluster(17, 5, {0b11111: 2, 0b00011: 5, 0b00101: 10})
     d = Cluster(19, 5, {0b11111: 4, 0b00011: 10, 0b00101: 5})
     for x in (c, d):
@@ -362,8 +360,9 @@ def test_large_non_invariant_pair_takes_the_joint_orbit_loop(engines_run):
     # over Z/20 the unit 3 maps the rotation orbit of {0, 4, 8} onto that of
     # {0, 4, 12}; moving one unit of multiplicity from one to the other
     # leaves the half cluster rotation closed but not affine invariant, and
-    # the pair still fits the windows and walks enough joint orbits to pass
-    # the size rule, so only the failed fold keeps it off the numpy engine
+    # the pair still fits the windows and its size bound (53 * 10 orbit
+    # pairs times g = 20) passes the size rule, so only the failed fold
+    # keeps it off the numpy engine
     a, b = _half_cluster((3, 5, 11, 41)), _half_cluster((7, 13, 31))
     assert a.order == math.gcd(a.order, b.order) == 20
     assert _cross_arrangement(a, b) is not None
@@ -375,7 +374,8 @@ def test_large_non_invariant_pair_takes_the_joint_orbit_loop(engines_run):
     keys, _, weights = _profile_orbits(altered, 20)
     assert _affine_fold(keys, weights, 20) is None
     assert _fits_numpy_windows(altered, b)
-    assert _joint_orbit_count(altered, b) >= 1 << 12
+    bound = len(altered.orbits) * len(b.orbits) * math.gcd(altered.order, b.order)
+    assert bound == 10_600 >= density._NUMPY_MIN_JOINT_ORBIT_BOUND
     assert _cross_arrangement(altered, b) is None
     expected = _cross_rows(altered, b)
     assert cross_histogram(altered, b).counts == expected
@@ -432,7 +432,7 @@ def test_cross_numpy_uint16_window():
 def test_cross_uint16_window_guards_the_default_path(monkeypatch, engines_run):
     # with the size rule admitting every pair, profile counts of 70000
     # still keep this pair off the numpy engine
-    monkeypatch.setattr(density, "_NUMPY_MIN_JOINT_ORBITS", 0)
+    monkeypatch.setattr(density, "_NUMPY_MIN_JOINT_ORBIT_BOUND", 0)
     full = (1 << 70000) - 1
     a = Cluster(70015, 70000, {full: 15, full >> 1: 70000})
     b = prime_cluster(7)
@@ -450,7 +450,7 @@ def test_cross_numpy_float32_window(monkeypatch, engines_run):
     # order/g = 4097 fits uint16, but the lcm 4096 * 4097 >= 2^24 does not
     # fit float32 exactly; with the size rule admitting every pair, that
     # alone keeps the pair off the numpy engine
-    monkeypatch.setattr(density, "_NUMPY_MIN_JOINT_ORBITS", 0)
+    monkeypatch.setattr(density, "_NUMPY_MIN_JOINT_ORBIT_BOUND", 0)
     order = 4096 * 4097
     a = Cluster(15, order, {(1 << order) - 1: 15})
     b = Cluster(17, 4096, {(1 << 4096) - 1: 17})
@@ -543,19 +543,75 @@ BOUND_SETS = PUBLISHED_SETS + [(3, 5, 7, 11, 13, 17, 19, 31, 41, 73, 241)]
     "primes", BOUND_SETS, ids=lambda primes: ",".join(map(str, primes))
 )
 def test_cross_engine_of_the_published_sets(primes, engines_run):
-    # every published fixture is cheaper in the joint-orbit loop; the
-    # 11-prime set walks 11,310,715 joint orbits and takes numpy
+    # every published fixture is cheaper in the joint-orbit loop, and its
+    # size bound |orbits| * |orbits| * g stays below the rule's 2^13; the
+    # 11-prime set's bound is 17,214,180 (it walks 11,310,715 joint orbits)
+    # and it takes numpy
     left, right = balance_partition(primes)
     a, b = _half_cluster(left), _half_cluster(right)
-    count = _joint_orbit_count(a, b)
+    bound = len(a.orbits) * len(b.orbits) * math.gcd(a.order, b.order)
     cross_histogram(a, b)
     if len(primes) < 11:
-        assert sum(1 for _ in _joint_orbits(a, b, math.lcm(a.order, b.order))) == count
-        assert count < 1 << 12
+        assert bound < density._NUMPY_MIN_JOINT_ORBIT_BOUND == 1 << 13
         assert engines_run == ["pure"]
     else:
-        assert count == 11_310_715
+        assert bound == 17_214_180
         assert engines_run == ["numpy"]
+
+
+def test_joint_orbit_size_bound_is_sound():
+    # each orbit pair gives gcd(p_a, p_b) joint orbits, at least 1 and at
+    # most g, so the loop walks between |orbits| * |orbits| and that times g;
+    # checked on the published splits and 60 seeded splits of 2 to 6 of the
+    # 12 primes
+    splits = [balance_partition(primes) for primes in PUBLISHED_SETS]
+    rng = random.Random(5)
+    pool = (3, 5, 7, 11, 13, 17, 19, 31, 41, 73, 241, 257)
+    for _ in range(60):
+        primes = rng.sample(pool, rng.randint(2, 6))
+        cut = rng.randint(1, len(primes) - 1)
+        splits.append((primes[:cut], primes[cut:]))
+    for left, right in splits:
+        a, b = _half_cluster(left), _half_cluster(right)
+        walked = sum(1 for _ in _joint_orbits(a, b, math.lcm(a.order, b.order)))
+        pairs = len(a.orbits) * len(b.orbits)
+        assert pairs <= walked <= pairs * math.gcd(a.order, b.order), (left, right)
+
+
+P11 = (3, 5, 7, 11, 13, 17, 19, 31, 41, 73, 241)
+
+
+def test_cross_engine_of_the_benchmark_splits(engines_run):
+    # the splits the benchmark, README and CI cross: the published fixtures,
+    # every partition of (3, 5, 7, 11, 13), the oracle sets, README's split
+    # and the 11- and 12-prime sets.  Every one takes the loop except the
+    # 11- and 12-prime sets; the largest size bound among the loop's splits
+    # is 4,560, for (3, 5, 241) | (7, 13, 17), and the smallest among
+    # numpy's 17,214,180
+    five = (3, 5, 7, 11, 13)
+    oracle_sets = [(3, 5), (3, 5, 7), (3, 5, 7, 11), (3, 5, 7, 13, 17)]
+    splits = [balance_partition(primes) for primes in PUBLISHED_SETS]
+    splits += [
+        (left, tuple(p for p in five if p not in left))
+        for r in range(len(five) + 1)
+        for left in itertools.combinations(five, r)
+    ]
+    splits += [balance_partition(primes) for primes in oracle_sets]
+    splits.append(((3, 17, 241), (5, 7, 13)))
+    splits += [balance_partition(P11), balance_partition(P11 + (257,))]
+    assert len(splits) == 48
+    for left, right in splits:
+        cross_histogram(_half_cluster(left), _half_cluster(right))
+    assert engines_run == ["pure"] * 46 + ["numpy"] * 2
+
+
+def test_numpy_cross_reads_no_period():
+    # the size rule reads orbit counts and orders, and the numpy engine
+    # works on profiles: neither half's periods are ever computed
+    a, b = (_half_cluster(side) for side in balance_partition(P11))
+    cross_histogram(a, b)
+    assert "periods" not in a.__dict__
+    assert "periods" not in b.__dict__
 
 
 @pytest.mark.parametrize(
