@@ -36,7 +36,8 @@ import io
 import json
 import math
 from dataclasses import dataclass
-from functools import cached_property
+from functools import cached_property, reduce
+from operator import or_
 
 from .modcore import (
     CongruenceCondition,
@@ -182,31 +183,34 @@ class EnumerationReport:
     def to_json(self) -> str:
         """json.dumps(payload, indent=2) of the payload {"D", "systems",
         "distinct_progression_count"[, "skip_reason"]}, each system a
-        {"classes", "assignment", "progression"} of int pairs, written by
-        hand: indent sends json.dumps to its pure-Python encoder, seconds
-        at D = 60.  A record's systems differ only in their residues and
-        progression, so each fills its record's template."""
+        {"classes", "assignment", "progression"} of int pairs.  indent sends
+        json.dumps to its pure-Python encoder, seconds at D = 60 over every
+        system, so it lays out one template per record: a record's systems
+        differ only in their residues and progression, dumped as "%d"
+        strings whose quotes are then dropped.  The filled systems replace
+        a placeholder in the dump of the payload."""
         systems = []
         for mods, asg, pairs in self._paired():
-            classes = [_json_list(["%d", str(d)], 8) for d in mods]
-            assignment = [_json_list([str(d), str(p)], 8) for d, p in asg.pairs]
-            template = _json_object(
-                [
-                    ("classes", _json_list(classes, 6)),
-                    ("assignment", _json_list(assignment, 6)),
-                    ("progression", _json_list(["%d", "%d"], 6)),
-                ],
-                4,
+            layout = json.dumps(
+                {
+                    "classes": [["%d", d] for d in mods],
+                    "assignment": [list(pair) for pair in asg.pairs],
+                    "progression": ["%d", "%d"],
+                },
+                indent=2,
             )
+            template = "    " + layout.replace('"%d"', "%d").replace("\n", "\n    ")
             systems += (template % (*res, *prog) for res, prog in pairs)
-        fields = [
-            ("D", str(self.D)),
-            ("systems", _json_list(systems, 2)),
-            ("distinct_progression_count", str(self.distinct_progression_count)),
-        ]
+        payload = {
+            "D": self.D,
+            "systems": [0] if systems else [],
+            "distinct_progression_count": self.distinct_progression_count,
+        }
         if self.skip_reason is not None:
-            fields.append(("skip_reason", json.dumps(self.skip_reason)))
-        return _json_object(fields, 0)
+            payload["skip_reason"] = self.skip_reason
+        # the placeholder's line is the dump's only one of exactly "    0"
+        filled = "\n" + ",\n".join(systems) + "\n"
+        return json.dumps(payload, indent=2).replace("\n    0\n", filled, 1)
 
     def to_csv(self) -> str:
         """One block per modulus tuple, blank-line separated: a header of
@@ -237,44 +241,32 @@ class EnumerationReport:
         return "\n".join(lines)
 
 
-def _json_list(items: list[str], pad: int) -> str:
-    """A list as json.dumps(..., indent=2) writes it at indent pad, its
-    items already written."""
-    if not items:
-        return "[]"
-    inner = ",\n".join(" " * (pad + 2) + item for item in items)
-    return f"[\n{inner}\n{' ' * pad}]"
-
-
-def _json_object(fields, pad: int) -> str:
-    """A dict of (key, written value) pairs as _json_list writes a list;
-    the keys are plain ASCII, so need no escapes."""
-    inner = ",\n".join(f'{" " * (pad + 2)}"{key}": {value}' for key, value in fields)
-    return f"{{\n{inner}\n{' ' * pad}}}"
-
-
 def _class_mask(residue: int, modulus: int, D: int) -> int:
     """Bits of {x in Z/D : x = residue (mod modulus)}, for modulus | D."""
     return period_mask(modulus, D) << residue % modulus
 
 
+def _class_masks(residues, moduli, D: int) -> list[int]:
+    """The mask over Z/D of each class a (mod d), every d dividing D: the
+    one place a system's classes become masks."""
+    return [_class_mask(a, d, D) for a, d in zip(residues, moduli)]
+
+
 def is_covering(c: CoveringSystem) -> bool:
     """True iff the classes cover every residue in Z/lcm_D (hence all of Z)."""
     D = c.lcm_D
-    remaining = (1 << D) - 1
-    for cond in c.classes:
-        remaining &= ~_class_mask(cond.residue, cond.modulus, D)
-        if remaining == 0:
-            return True
-    return remaining == 0
+    return reduce(or_, _class_masks(c.residues, c.moduli, D), 0) == (1 << D) - 1
 
 
-def _each_essential(masks, full: int) -> bool:
-    """True iff every mask is essential: the union of the others misses
-    part of full.  Read off prefix/suffix ORs."""
+def _covers_minimally(masks, full: int) -> bool:
+    """True iff the masks cover full and each is essential: the union of
+    the others misses part of full.  One prefix/suffix pass, the last
+    prefix being the union."""
     prefix = [0]
     for m in masks:
         prefix.append(prefix[-1] | m)
+    if prefix[-1] != full:
+        return False
     suffix = 0
     for i in range(len(masks) - 1, -1, -1):
         if prefix[i] | suffix == full:
@@ -284,17 +276,13 @@ def _each_essential(masks, full: int) -> bool:
 
 
 def is_minimal(c: CoveringSystem) -> bool:
-    """True iff c covers and removing any single class breaks covering.
+    """True iff c covers and removing any single class breaks covering
+    (_covers_minimally, which the enumeration's leaf test shares).
 
     Non-covering input is not minimal-covering, so it returns False.
     """
     D = c.lcm_D
-    masks = [_class_mask(cond.residue, cond.modulus, D) for cond in c.classes]
-    full = (1 << D) - 1
-    union = 0
-    for m in masks:
-        union |= m
-    return union == full and _each_essential(masks, full)
+    return _covers_minimally(_class_masks(c.residues, c.moduli, D), (1 << D) - 1)
 
 
 def iter_prime_assignments(moduli):
@@ -383,9 +371,9 @@ def _minimal_coverings(mods: tuple[int, ...], D: int) -> list[tuple[int, ...]]:
     for classes, _ in class_cover_search(rest, D, full ^ top_mask, barred):
         # covered with moduli unplaced: any extension is redundant
         if None not in classes:
-            masks = [_class_mask(a, d, D) for a, d in zip(classes, rest)]
-            if _each_essential(masks + [top_mask], full):
-                found.append((*classes, 0))
+            leaf = (*classes, 0)
+            if _covers_minimally(_class_masks(leaf, mods, D), full):
+                found.append(leaf)
     units = [u for u in range(D) if math.gcd(u, D) == 1]
     bases = {tuple(u * a % d for a, d in zip(res, mods)) for res in found for u in units}
     return sorted(
@@ -432,8 +420,8 @@ def enumerate_cdl_systems(D: int) -> EnumerationReport:
       The walk yields each covering node, and _minimal_coverings reads
       them in one loop: a node with moduli still unplaced is dropped (the
       rest would be redundant).
-    * Leaf minimality.  A covering leaf is kept iff each class is
-      essential (_each_essential, shared with is_minimal).
+    * Leaf minimality.  A covering leaf is kept iff its classes cover
+      and each is essential (_covers_minimally, shared with is_minimal).
 
     Each tuple with minimal coverings gives one record of the report: the
     tuple, its canonical prime assignment and its sorted residue tuples,

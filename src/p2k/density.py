@@ -152,7 +152,9 @@ class Cluster:
     lies in the orbit: its period times the multiplicity of each member row.
     The weights sum to modulus_part, and rows expands them into the full
     row -> multiplicity map.  order is ord_2 of modulus_part, except in
-    augmented intermediates where it is a multiple.
+    augmented intermediates where it is a multiple.  No period is stored:
+    rows, validate and the joint-orbit walk each compute the periods of the
+    orbits they reach with _period, and the numpy cross calls it on none.
     Treated as immutable once built.
     """
 
@@ -161,18 +163,13 @@ class Cluster:
     orbits: dict[int, int]
 
     @cached_property
-    def periods(self) -> dict[int, int]:
-        """Orbit size of each stored row."""
-        return {mask: _period(mask, self.order) for mask in self.orbits}
-
-    @cached_property
     def rows(self) -> dict[int, int]:
         """Every member row of every orbit, with its multiplicity."""
         full = (1 << self.order) - 1
         rows: dict[int, int] = {}
         for mask, weight in self.orbits.items():
             doubled = mask | (mask << self.order)
-            period = self.periods[mask]
+            period = _period(mask, self.order)
             mult = weight // period
             for i in range(period):
                 rows[(doubled >> i) & full] = mult
@@ -194,10 +191,10 @@ class Cluster:
                 raise ValueError(
                     f"row {mask:#x} is not the least rotation of its orbit ({least:#x})"
                 )
-            if weight % self.periods[mask]:
+            if weight % (period := _period(mask, self.order)):
                 raise ValueError(
                     f"weight {weight} of row {mask:#x} is not a multiple of its "
-                    f"period {self.periods[mask]}"
+                    f"period {period}"
                 )
         if (total := sum(self.orbits.values())) != self.modulus_part:
             raise ValueError(f"weights sum to {total}, expected {self.modulus_part}")
@@ -242,17 +239,19 @@ def _check_coprime(a: Cluster, b: Cluster) -> None:
         )
 
 
-def _joint_orbits(a: Cluster, b: Cluster, order: int):
+def _joint_orbits(a: Cluster, b: Cluster):
     """Yield (c, w) for each joint rotation orbit of a pair of orbits lifted
-    to Z/order: c = a & rot^s b for s < gcd(p_a, p_b), and w its weight
-    W_a * W_b / gcd(p_a, p_b).  Lifting keeps each orbit's period; b's rows
-    are lifted to Z/2L, which lays the row lifted to Z/L out twice, so rot^s
-    is a shift and a mask."""
+    to Z/L, L = lcm of the orders: c = a & rot^s b for s < gcd(p_a, p_b),
+    and w its weight W_a * W_b / gcd(p_a, p_b).  Lifting keeps each orbit's
+    period, computed once per orbit as the walk reaches it; b's rows are
+    lifted to Z/2L, which lays the row lifted to Z/L out twice, so rot^s is
+    a shift and a mask."""
+    order = math.lcm(a.order, b.order)
     lift_a, lift_b = period_mask(a.order, order), period_mask(b.order, 2 * order)
-    items_b = [(mask * lift_b, b.periods[mask], w_b) for mask, w_b in b.orbits.items()]
+    items_b = [(mask * lift_b, _period(mask, b.order), w_b) for mask, w_b in b.orbits.items()]
     for mask, w_a in a.orbits.items():
         lifted = mask * lift_a
-        p_a = a.periods[mask]
+        p_a = _period(mask, a.order)
         for doubled_b, p_b, w_b in items_b:
             shifts = math.gcd(p_a, p_b)
             w = w_a // shifts * w_b
@@ -268,7 +267,7 @@ def merge(a: Cluster, b: Cluster) -> Cluster:
     _check_coprime(a, b)
     order = math.lcm(a.order, b.order)
     found: dict[int, int] = {}
-    for key, w in _joint_orbits(a, b, order):
+    for key, w in _joint_orbits(a, b):
         found[key] = found.get(key, 0) + w
     orbits: dict[int, int] = {}
     for key, w in found.items():
@@ -484,7 +483,7 @@ def _cross_histogram_numpy(rows, weights, members_t, weights_m, order: int) -> d
 def _cross_histogram_pure(a: Cluster, b: Cluster) -> dict[int, int]:
     """Cross histogram over the joint rotation orbits, in exact ints."""
     counts: dict[int, int] = {}
-    for key, w in _joint_orbits(a, b, math.lcm(a.order, b.order)):
+    for key, w in _joint_orbits(a, b):
         nu = key.bit_count()
         counts[nu] = counts.get(nu, 0) + w
     return counts

@@ -80,9 +80,6 @@ class ExclusionCertificate:
             "witnesses": [list(w) for w in self.witnesses],
         }
 
-    def to_json(self) -> str:
-        return json.dumps(self.to_dict(), indent=2)
-
 
 def derive_progression(
     system: CoveringSystem, assignment: PrimeAssignment

@@ -1,3 +1,4 @@
+import collections
 import dataclasses
 import itertools
 import json
@@ -97,6 +98,27 @@ def test_is_minimal():
     assert not is_minimal(padded)
     # non-covering input is not a minimal covering
     assert not is_minimal(CoveringSystem.from_pairs([(0, 2), (1, 4)]))
+
+
+def test_covering_and_minimality_equal_their_set_definitions():
+    # every system with one class for each modulus of (2, 3, 4, 6, 12),
+    # against Python sets over Z/12: covering means the union is Z/12,
+    # minimal means it covers and no class can be dropped.  The 1,704
+    # non-covering systems all reach is_minimal's covering check
+    mods = (2, 3, 4, 6, 12)
+    ring = set(range(12))
+    verdicts = collections.Counter()
+    for residues in itertools.product(*(range(d) for d in mods)):
+        classes = [set(range(a, 12, d)) for a, d in zip(residues, mods)]
+        covers = set().union(*classes) == ring
+        minimal = covers and all(
+            set().union(*classes[:i], *classes[i + 1 :]) != ring
+            for i in range(len(classes))
+        )
+        system = CoveringSystem.from_pairs(zip(residues, mods))
+        assert (is_covering(system), is_minimal(system)) == (covers, minimal), residues
+        verdicts[covers, minimal] += 1
+    assert verdicts == {(False, False): 1704, (True, True): 24}
 
 
 def test_find_prime_assignments():
@@ -464,22 +486,23 @@ def test_double_cover_on_randomized_minimal_inputs(enumeration_24):
 
 
 def test_report_json_round_trip(enumeration_24):
-    # to_json writes json.dumps(payload, indent=2) by hand; this is the
-    # reference, byte for byte
-    report = enumeration_24
-    assert report.to_json() == json.dumps({
-        "D": report.D,
-        "systems": [
-            {
-                "classes": [[c.residue, c.modulus] for c in system.classes],
-                "assignment": [list(pair) for pair in asg.pairs],
-                "progression": list(progression),
-            }
-            for (system, asg), progression in zip(report.systems, report.progressions)
-        ],
-        "distinct_progression_count": report.distinct_progression_count,
-    }, indent=2)
-    assert report.skip_reason is None
+    # to_json fills one template per record into the dump of the payload;
+    # json.dumps(payload, indent=2) over every system is the reference, byte
+    # for byte (D = 72 has 26 records, so 26 templates)
+    for report in [enumeration_24, *map(enumerate_cdl_systems, (36, 48, 72, 80))]:
+        assert report.to_json() == json.dumps({
+            "D": report.D,
+            "systems": [
+                {
+                    "classes": [[c.residue, c.modulus] for c in system.classes],
+                    "assignment": [list(pair) for pair in asg.pairs],
+                    "progression": list(progression),
+                }
+                for (system, asg), progression in zip(report.systems, report.progressions)
+            ],
+            "distinct_progression_count": report.distinct_progression_count,
+        }, indent=2), report.D
+        assert report.skip_reason is None
     empty = enumerate_cdl_systems(12)  # not skipped, but no system
     assert empty.to_json() == json.dumps(
         {"D": 12, "systems": [], "distinct_progression_count": 0}, indent=2

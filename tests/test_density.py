@@ -573,7 +573,7 @@ def test_joint_orbit_size_bound_is_sound():
         splits.append((primes[:cut], primes[cut:]))
     for left, right in splits:
         a, b = _half_cluster(left), _half_cluster(right)
-        walked = sum(1 for _ in _joint_orbits(a, b, math.lcm(a.order, b.order)))
+        walked = sum(1 for _ in _joint_orbits(a, b))
         pairs = len(a.orbits) * len(b.orbits)
         assert pairs <= walked <= pairs * math.gcd(a.order, b.order), (left, right)
 
@@ -605,13 +605,41 @@ def test_cross_engine_of_the_benchmark_splits(engines_run):
     assert engines_run == ["pure"] * 46 + ["numpy"] * 2
 
 
-def test_numpy_cross_reads_no_period():
+def test_numpy_cross_reads_no_period(monkeypatch, engines_run):
     # the size rule reads orbit counts and orders, and the numpy engine
-    # works on profiles: neither half's periods are ever computed
-    a, b = (_half_cluster(side) for side in balance_partition(P11))
+    # works on profiles, so the density-11 cross computes no period; the
+    # joint-orbit loop computes each orbit's once
+    halves = [_half_cluster(side) for side in balance_partition(P11)]
+    a, b = _half_cluster((3, 5, 241)), _half_cluster((7, 13, 17))
+    calls = []
+
+    def counted(mask, order):
+        calls.append(mask)
+        return _period(mask, order)
+
+    monkeypatch.setattr(density, "_period", counted)
+    cross_histogram(*halves)
+    assert engines_run == ["numpy"]
+    assert calls == []
     cross_histogram(a, b)
-    assert "periods" not in a.__dict__
-    assert "periods" not in b.__dict__
+    assert engines_run == ["numpy", "pure"]
+    assert len(calls) == len(a.orbits) + len(b.orbits)
+
+
+def test_pure_cross_on_a_long_ring_equals_the_oracle(engines_run):
+    # (3) | (19, 23, 29) crosses on a ring of 2,772 exponents; the
+    # hypothesis sweep stops at M * ord_2(M) <= 2 * 10^6, so it never checks
+    # the loop's periods on rows this long against the oracle.  A cross
+    # with (3) reads only the parity of b's periods, so the merged cluster's
+    # validate (each weight a multiple of its period) checks them too
+    a, b = _half_cluster((3,)), _half_cluster((19, 23, 29))
+    assert math.lcm(a.order, b.order) == 2772
+    expected = brute_force_delta(38019).counts
+    assert cross_histogram(a, b).counts == expected
+    assert engines_run == ["pure"]
+    merged = merge(a, b)
+    merged.validate()
+    assert histogram_of(merged).counts == expected
 
 
 @pytest.mark.parametrize(
